@@ -4,10 +4,10 @@ Each :class:`Claim` records, as data, one asserted closed form for a
 quantity of a graph family: the vertex chromatic number ``chi``, the
 chromatic number of the line graph ``chi_line`` (equivalently the
 chromatic index), their ``sum``, or their ``product``.  Formulas are
-plain expression strings over the family parameters, split by parity
-where the claim is parity-cased, and every claim carries a citation
-string restating the claimed identity so an audit report doubles as an
-errata table.
+plain functions of the family parameters (in the order the family table
+names them), split by parity where the claim is parity-cased, and every
+claim carries a citation string restating the claimed identity so an
+audit report doubles as an errata table.
 
 Several registered claims are wrong on purpose: the audit's job is to
 find out, by generating each graph and solving exactly, which formulas
@@ -19,7 +19,7 @@ sum/product claims (the stated ``n+4``/``3(n+1)`` and the derived
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import families
 from .coloring import SearchBudget, chromatic_index, chromatic_number
@@ -37,8 +37,8 @@ QUANTITIES = ("chi", "chi_line", "sum", "product")
 
 @dataclass(frozen=True)
 class ClaimCase:
-    when: str      # "even" | "odd" | "any" (parity of the last parameter)
-    formula: str   # integer expression over the parameter names
+    when: str                   # "even" | "odd" | "any" (parity of the last parameter)
+    value: Callable[..., int]   # the claimed value, from the family parameters in order
 
 
 @dataclass(frozen=True)
@@ -52,89 +52,76 @@ class Claim:
 
 
 def _claim(id: str, family: str, quantity: str, mins: tuple[int, ...],
-           cases: list[tuple[str, str]], citation: str) -> Claim:
+           cases: list[tuple[str, Callable[..., int]]], citation: str) -> Claim:
     return Claim(id, family, quantity, mins,
                  tuple(ClaimCase(w, f) for w, f in cases), citation)
 
 
 _REGISTRY: tuple[Claim, ...] = (
     _claim("complete.sum", "complete", "sum", (2,),
-           [("even", "2*n - 1"), ("odd", "2*n")],
+           [("even", lambda n: 2 * n - 1), ("odd", lambda n: 2 * n)],
            "chi(K_n) + chi(L(K_n)) = 2n-1 if n even, 2n if n odd (n >= 2)"),
     _claim("complete.product", "complete", "product", (2,),
-           [("even", "n*(n - 1)"), ("odd", "n*n")],
+           [("even", lambda n: n * (n - 1)), ("odd", lambda n: n * n)],
            "chi(K_n) * chi(L(K_n)) = n(n-1) if n even, n^2 if n odd (n >= 2)"),
     _claim("complete_bipartite.sum", "complete_bipartite", "sum", (1, 1),
-           [("any", "2 + max(m, n)")],
+           [("any", lambda m, n: 2 + max(m, n))],
            "chi(K_{m,n}) + chi(L(K_{m,n})) = 2 + max(m, n)"),
     _claim("complete_bipartite.product", "complete_bipartite", "product", (1, 1),
-           [("any", "2*max(m, n)")],
+           [("any", lambda m, n: 2 * max(m, n))],
            "chi(K_{m,n}) * chi(L(K_{m,n})) = 2 max(m, n)"),
     _claim("star.sum", "star", "sum", (1,),
-           [("any", "n + 2")],
+           [("any", lambda n: n + 2)],
            "chi(K_{1,n}) + chi(L(K_{1,n})) = n + 2"),
     _claim("star.product", "star", "product", (1,),
-           [("any", "2*n")],
+           [("any", lambda n: 2 * n)],
            "chi(K_{1,n}) * chi(L(K_{1,n})) = 2n"),
     _claim("bistar.sum", "bistar", "sum", (1, 1),
-           [("any", "2 + max(m, n)")],
+           [("any", lambda m, n: 2 + max(m, n))],
            "chi(B_{m,n}) + chi(L(B_{m,n})) = 2 + max(m, n)"),
     _claim("bistar.product", "bistar", "product", (1, 1),
-           [("any", "2*max(m, n)")],
+           [("any", lambda m, n: 2 * max(m, n))],
            "chi(B_{m,n}) * chi(L(B_{m,n})) = 2 max(m, n)"),
     _claim("wheel.chi", "wheel", "chi", (4,),
-           [("even", "4"), ("odd", "3")],
+           [("even", lambda n: 4), ("odd", lambda n: 3)],
            "chi(W_n) = 4 if n even, 3 if n odd (n >= 4)"),
     _claim("wheel.chi_line", "wheel", "chi_line", (4,),
-           [("any", "n - 1")],
+           [("any", lambda n: n - 1)],
            "chi'(W_n) = n - 1 (n >= 4)"),
     _claim("wheel.sum", "wheel", "sum", (4,),
-           [("even", "n + 3"), ("odd", "n + 2")],
+           [("even", lambda n: n + 3), ("odd", lambda n: n + 2)],
            "chi(W_n) + chi(L(W_n)) = n+3 if n even, n+2 if n odd (n >= 4)"),
     _claim("wheel.product", "wheel", "product", (4,),
-           [("even", "4*(n - 1)"), ("odd", "3*(n - 1)")],
+           [("even", lambda n: 4 * (n - 1)), ("odd", lambda n: 3 * (n - 1))],
            "chi(W_n) * chi(L(W_n)) = 4(n-1) if n even, 3(n-1) if n odd (n >= 4)"),
     _claim("helm.chi", "helm", "chi", (3,),
-           [("even", "4"), ("odd", "3")],
+           [("even", lambda n: 4), ("odd", lambda n: 3)],
            "chi(H_n) = 4 if n even, 3 if n odd (n >= 3)"),
     _claim("helm.chi_line", "helm", "chi_line", (3,),
-           [("any", "n")],
+           [("any", lambda n: n)],
            "chi'(H_n) = n (n >= 3)"),
     _claim("helm.sum", "helm", "sum", (3,),
-           [("even", "n + 4"), ("odd", "n + 3")],
+           [("even", lambda n: n + 4), ("odd", lambda n: n + 3)],
            "chi(H_n) + chi(L(H_n)) = n+4 if n even, n+3 if n odd (n >= 3)"),
     _claim("helm.product", "helm", "product", (3,),
-           [("even", "4*n"), ("odd", "3*n")],
+           [("even", lambda n: 4 * n), ("odd", lambda n: 3 * n)],
            "chi(H_n) * chi(L(H_n)) = 4n if n even, 3n if n odd (n >= 3)"),
     _claim("fan.chi_line", "fan", "chi_line", (2,),
-           [("any", "n")],
+           [("any", lambda n: n)],
            "chi'(F_{1,n}) = n (n >= 2)"),
     _claim("fan.sum.statement", "fan", "sum", (2,),
-           [("any", "n + 4")],
+           [("any", lambda n: n + 4)],
            "chi(F_{1,n}) + chi(L(F_{1,n})) = n + 4 (statement variant)"),
     _claim("fan.product.statement", "fan", "product", (2,),
-           [("any", "3*(n + 1)")],
+           [("any", lambda n: 3 * (n + 1))],
            "chi(F_{1,n}) * chi(L(F_{1,n})) = 3(n + 1) (statement variant)"),
     _claim("fan.sum.proof", "fan", "sum", (2,),
-           [("any", "n + 3")],
+           [("any", lambda n: n + 3)],
            "chi(F_{1,n}) + chi(L(F_{1,n})) = n + 3 (derivation variant)"),
     _claim("fan.product.proof", "fan", "product", (2,),
-           [("any", "3*n")],
+           [("any", lambda n: 3 * n)],
            "chi(F_{1,n}) * chi(L(F_{1,n})) = 3n (derivation variant)"),
 )
-
-#: Families that have registered claims, in fixed audit order, with the
-#: smallest parameter value audited (chi_line needs at least one edge, so
-#: complete graphs start at n = 2).
-AUDIT_FAMILIES: dict[str, tuple[int, ...]] = {
-    "complete": (2,),
-    "complete_bipartite": (1, 1),
-    "star": (1,),
-    "bistar": (1, 1),
-    "wheel": (4,),
-    "helm": (3,),
-    "fan": (2,),
-}
 
 
 def registry() -> tuple[Claim, ...]:
@@ -146,8 +133,17 @@ def claims_for(family: str) -> tuple[Claim, ...]:
     return tuple(c for c in _REGISTRY if c.family == family)
 
 
+#: Families that have registered claims, in family-table order, with the
+#: smallest parameter point audited: the lowest minimum of each parameter
+#: over the family's claims (chi_line needs at least one edge, so complete
+#: graphs start at n = 2).
+AUDIT_FAMILIES: dict[str, tuple[int, ...]] = {
+    family: tuple(map(min, *(c.param_mins for c in claims_for(family))))
+    for family in families.FAMILIES if claims_for(family)}
+
+
 def claimed_value(claim: Claim, params: tuple[int, ...]) -> int | None:
-    """Evaluate the claim's formula at params, or None outside its domain."""
+    """The claim's value at params, or None outside its domain."""
     if len(params) != len(claim.param_mins):
         raise DomainError(f"{claim.id} takes {len(claim.param_mins)} parameter(s), "
                           f"got {len(params)}")
@@ -156,9 +152,7 @@ def claimed_value(claim: Claim, params: tuple[int, ...]) -> int | None:
     parity = "even" if params[-1] % 2 == 0 else "odd"
     for case in claim.cases:
         if case.when == "any" or case.when == parity:
-            names = dict(zip(families.FAMILY_PARAM_NAMES[claim.family], params))
-            names["max"] = max
-            return int(eval(case.formula, {"__builtins__": {}}, names))  # noqa: S307
+            return case.value(*params)
     return None
 
 
@@ -205,8 +199,7 @@ def _param_points(family: str, max_param: int) -> list[tuple[int, ...]]:
 
 def _audit_point(family: str, point: tuple[int, ...],
                  budget_limit: int | None = None) -> list[AuditRow]:
-    names = families.FAMILY_PARAM_NAMES[family]
-    params = tuple(zip(names, point))
+    params = tuple(zip(families.FAMILY_TABLE[family].params, point))
     g = families.make(family, *point)
     claims = claims_for(family)
     try:

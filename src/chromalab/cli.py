@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 from . import claims, constructions, families
 from .coloring import (DEFAULT_NODE_BUDGET, EdgeColoring, VertexColoring,
@@ -26,26 +25,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-
-@dataclass
-class CliConfig:
-    """Validated shape of one invocation's shared flags."""
-
-    subcommand: str
-    format: str = "text"
-    budget: int = DEFAULT_NODE_BUDGET
-    workers: int = 1
-
-    def __post_init__(self):
-        if not self.subcommand:
-            raise DomainError("exactly one subcommand is required")
-        if self.format not in ("text", "markdown", "csv", "json"):
-            raise DomainError(f"unknown output format {self.format!r}")
-        if self.budget <= 0:
-            raise DomainError(f"budget must be positive, got {self.budget}")
-        if self.workers <= 0:
-            raise DomainError(f"workers must be positive, got {self.workers}")
 
 
 def _positive_int(text: str) -> int:
@@ -112,20 +91,6 @@ def cmd_chi_index(args) -> int:
     return EXIT_OK
 
 
-def _family_param_from_order(name: str, g: Graph) -> int:
-    if name == "complete":
-        return g.order
-    if name == "wheel":
-        return g.order
-    if name == "helm":
-        if g.order % 2 == 0:
-            raise DomainError(f"a helm graph has odd order 2n+1, got order {g.order}")
-        return (g.order - 1) // 2
-    if name == "fan":
-        return g.order - 1
-    raise DomainError(f"method {name!r} has no canonical graph")
-
-
 def _resolve_edge_color_input(args) -> Graph:
     if bool(args.file) == bool(args.family):
         raise DomainError("edge-color needs exactly one input: a FILE or --family/--params")
@@ -148,8 +113,9 @@ def cmd_edge_color(args) -> int:
     elif method == "exact":
         w = chromatic_index(g, args.budget)
     else:
-        n = _family_param_from_order(method, g)
-        if g != families.make(method, n):
+        family = families.FAMILY_TABLE[method]
+        n = family.param_of_order(g.order)
+        if n < family.mins[0] or g != families.make(method, n):
             raise DomainError(f"method {method!r} requires the canonical {method} graph "
                               f"in its documented labeling")
         builder = {"complete": constructions.edge_color_complete,
@@ -212,7 +178,19 @@ def cmd_ng(args) -> int:
 _AUDIT_ALL = tuple(claims.AUDIT_FAMILIES) + ("bipartite",)
 
 
+def _read_expected(path: str) -> set[str]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            keys = json.load(fh)
+    except ValueError as exc:
+        raise DomainError(f"--expected file {path} is not UTF-8 JSON: {exc}") from None
+    if not isinstance(keys, list) or not all(isinstance(k, str) for k in keys):
+        raise DomainError(f"--expected file {path} must hold a JSON list of row-key strings")
+    return set(keys)
+
+
 def cmd_audit(args) -> int:
+    expected = _read_expected(args.expected) if args.expected else set()
     targets = _AUDIT_ALL if args.family == "all" else (args.family,)
     executor = None
     rows = []
@@ -236,11 +214,7 @@ def cmd_audit(args) -> int:
             fh.write("\n")
     if any(r.verdict == claims.BUDGET_EXCEEDED for r in rows):
         return EXIT_BUDGET
-    mismatches = set(claims.mismatch_keys(rows))
-    if args.expected:
-        with open(args.expected, "r", encoding="utf-8") as fh:
-            expected = set(json.load(fh))
-        mismatches -= expected
+    mismatches = set(claims.mismatch_keys(rows)) - expected
     return EXIT_MISMATCH if mismatches else EXIT_OK
 
 
@@ -332,10 +306,6 @@ def run(argv=None) -> int:
         code = exc.code
         return EXIT_OK if code in (0, None) else EXIT_USAGE
     try:
-        CliConfig(subcommand=args.subcommand,
-                  format=getattr(args, "format", "text"),
-                  budget=getattr(args, "budget", DEFAULT_NODE_BUDGET),
-                  workers=getattr(args, "workers", 1))
         return args.handler(args)
     except (DomainError, EdgeListFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,10 +16,6 @@ def vertex_pairs(n: int) -> tuple[Edge, ...]:
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
-def num_labeled_graphs(n: int) -> int:
-    return 1 << (n * (n - 1) // 2)
-
-
 def graph_from_mask(n: int, mask: int) -> Graph:
     pairs = vertex_pairs(n)
     return Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])

@@ -20,53 +20,43 @@ Labeling conventions (fixed so colorings are reproducible):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import DomainError
 from .graphs import Graph, join
 
-FAMILY_PARAM_MINS: dict[str, tuple[int, ...]] = {
-    "complete": (1,),
-    "complete_bipartite": (1, 1),
-    "star": (1,),
-    "bistar": (1, 1),
-    "path": (1,),
-    "cycle": (3,),
-    "wheel": (4,),
-    "helm": (3,),
-    "fan": (2,),
-}
 
-FAMILY_PARAM_NAMES: dict[str, tuple[str, ...]] = {
-    "complete": ("n",),
-    "complete_bipartite": ("m", "n"),
-    "star": ("n",),
-    "bistar": ("m", "n"),
-    "path": ("n",),
-    "cycle": ("n",),
-    "wheel": ("n",),
-    "helm": ("n",),
-    "fan": ("n",),
-}
+@dataclass(frozen=True)
+class Family:
+    """One row of :data:`FAMILY_TABLE`: parameter names, their minimums, the generator.
 
-FAMILIES = tuple(FAMILY_PARAM_MINS)
+    ``param_of_order`` (families with a constructive edge coloring only)
+    maps a graph order to the only parameter whose graph can have that
+    order; the result may be below the minimum, or name a graph of another
+    order, when the family has no graph of that order.
+    """
+
+    params: tuple[str, ...]
+    mins: tuple[int, ...]
+    generator: Callable[..., Graph]
+    param_of_order: Callable[[int], int] | None = None
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A family name plus its parameters, validated against the domain table."""
+    """A family name plus its parameters, validated against the family table."""
 
     family: str
     params: tuple[int, ...]
 
     def __post_init__(self):
-        if self.family not in FAMILY_PARAM_MINS:
+        if self.family not in FAMILY_TABLE:
             raise DomainError(f"unknown family {self.family!r}; choose from {', '.join(FAMILIES)}")
-        mins = FAMILY_PARAM_MINS[self.family]
-        names = FAMILY_PARAM_NAMES[self.family]
-        if len(self.params) != len(mins):
-            raise DomainError(f"{self.family} takes {len(mins)} parameter(s) "
-                              f"({', '.join(names)}), got {len(self.params)}")
-        for name, lo, value in zip(names, mins, self.params):
+        fam = FAMILY_TABLE[self.family]
+        if len(self.params) != len(fam.mins):
+            raise DomainError(f"{self.family} takes {len(fam.mins)} parameter(s) "
+                              f"({', '.join(fam.params)}), got {len(self.params)}")
+        for name, lo, value in zip(fam.params, fam.mins, self.params):
             if not isinstance(value, int) or value < lo:
                 raise DomainError(f"{self.family} requires {name} >= {lo} (got {name}={value})")
 
@@ -122,22 +112,24 @@ def fan(n: int) -> Graph:
     return join(Graph(1), path(n))
 
 
-_GENERATORS = {
-    "complete": complete,
-    "complete_bipartite": complete_bipartite,
-    "star": star,
-    "bistar": bistar,
-    "path": path,
-    "cycle": cycle,
-    "wheel": wheel,
-    "helm": helm,
-    "fan": fan,
+FAMILY_TABLE: dict[str, Family] = {
+    "complete": Family(("n",), (1,), complete, lambda order: order),
+    "complete_bipartite": Family(("m", "n"), (1, 1), complete_bipartite),
+    "star": Family(("n",), (1,), star),
+    "bistar": Family(("m", "n"), (1, 1), bistar),
+    "path": Family(("n",), (1,), path),
+    "cycle": Family(("n",), (3,), cycle),
+    "wheel": Family(("n",), (4,), wheel, lambda order: order),
+    "helm": Family(("n",), (3,), helm, lambda order: (order - 1) // 2),
+    "fan": Family(("n",), (2,), fan, lambda order: order - 1),
 }
+
+FAMILIES = tuple(FAMILY_TABLE)
 
 
 def generate(spec: FamilySpec) -> Graph:
     """Build the graph a validated spec describes."""
-    return _GENERATORS[spec.family](*spec.params)
+    return FAMILY_TABLE[spec.family].generator(*spec.params)
 
 
 def make(family: str, *params: int) -> Graph:

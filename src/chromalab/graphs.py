@@ -224,8 +224,14 @@ def format_edge_list(g: Graph) -> str:
 
 
 def read_edge_list(path) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise EdgeListFormatError(data.count(b"\n", 0, exc.start) + 1,
+                                  f"not UTF-8 text (byte 0x{data[exc.start]:02x})") from None
+    return parse_edge_list(text)
 
 
 def write_edge_list(g: Graph, path) -> None:

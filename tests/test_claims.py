@@ -36,12 +36,42 @@ def test_registry_checklist():
     assert len([c for c in reg if c.family == "fan" and c.quantity == "product"]) == 2
 
 
+#: (claim id, parameter point, claimed value), covering every claim and,
+#: for parity-cased claims, one even and one odd point.
+CLAIMED_VALUES = [
+    ("complete.sum", (6,), 11), ("complete.sum", (7,), 14),
+    ("complete.product", (6,), 30), ("complete.product", (7,), 49),
+    ("complete_bipartite.sum", (2, 5), 7), ("complete_bipartite.sum", (6, 3), 8),
+    ("complete_bipartite.product", (2, 5), 10), ("complete_bipartite.product", (6, 3), 12),
+    ("star.sum", (5,), 7),
+    ("star.product", (5,), 10),
+    ("bistar.sum", (2, 3), 5), ("bistar.sum", (6, 1), 8),
+    ("bistar.product", (2, 3), 6), ("bistar.product", (6, 1), 12),
+    ("wheel.chi", (6,), 4), ("wheel.chi", (7,), 3),
+    ("wheel.chi_line", (4,), 3), ("wheel.chi_line", (7,), 6),
+    ("wheel.sum", (6,), 9), ("wheel.sum", (7,), 9),
+    ("wheel.product", (6,), 20), ("wheel.product", (7,), 18),
+    ("helm.chi", (4,), 4), ("helm.chi", (5,), 3),
+    ("helm.chi_line", (4,), 4),
+    ("helm.sum", (4,), 8), ("helm.sum", (5,), 8),
+    ("helm.product", (4,), 16), ("helm.product", (5,), 15),
+    ("fan.chi_line", (4,), 4),
+    ("fan.sum.statement", (4,), 8), ("fan.sum.statement", (7,), 11),
+    ("fan.product.statement", (4,), 15), ("fan.product.statement", (7,), 24),
+    ("fan.sum.proof", (4,), 7), ("fan.sum.proof", (7,), 10),
+    ("fan.product.proof", (4,), 12), ("fan.product.proof", (7,), 21),
+]
+
+
 def test_claimed_value_examples():
-    assert claimed_value(_claim("complete.sum"), (6,)) == 11
-    assert claimed_value(_claim("complete.sum"), (7,)) == 14
-    assert claimed_value(_claim("helm.product"), (5,)) == 15
-    assert claimed_value(_claim("wheel.chi_line"), (4,)) == 3
-    assert claimed_value(_claim("bistar.sum"), (2, 3)) == 5
+    for cid, params, value in CLAIMED_VALUES:
+        assert claimed_value(_claim(cid), params) == value, (cid, params)
+    # every claim and every parity case is covered above
+    covered = {(cid, "even" if p[-1] % 2 == 0 else "odd") for cid, p, _ in CLAIMED_VALUES}
+    for c in registry():
+        for case in c.cases:
+            parities = ("even", "odd") if case.when == "any" else (case.when,)
+            assert any((c.id, p) in covered for p in parities), (c.id, case.when)
     # outside the claim's domain -> undefined marker
     assert claimed_value(_claim("complete.sum"), (1,)) is None
     assert claimed_value(_claim("wheel.chi"), (3,)) is None

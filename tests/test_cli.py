@@ -95,6 +95,12 @@ def test_edge_color_input_validation(k5_file, capsys):
     # neither input is a usage error
     assert run(["edge-color", "--method", "exact"]) == 2
     capsys.readouterr()
+    # wheel(5) has the order of helm(2), below the helm minimum; order 6 is even
+    for params in ("5", "6"):
+        assert run(["edge-color", "--family", "wheel", "--params", params,
+                    "--method", "helm"]) == 2
+        assert capsys.readouterr().err == ("error: method 'helm' requires the canonical "
+                                           "helm graph in its documented labeling\n")
 
 
 def test_edge_color_complete_method_on_file(k5_file, capsys):
@@ -166,6 +172,17 @@ def test_audit_expected_fingerprint_round_trip(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("content", [b"not json", b"5", b'{"a": 1}', b"[1, 2]",
+                                     b'["fan.chi_line[n=2]", 3]', b'["\xff"]'])
+def test_audit_malformed_expected_is_usage_error(tmp_path, capsys, content):
+    fp = tmp_path / "expected.json"
+    fp.write_bytes(content)
+    assert run(["audit", "--family", "fan", "--max", "4", "--expected", str(fp)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # rejected before the sweep runs
+    assert err.startswith(f"error: --expected file {fp}")
+
+
 def test_audit_budget_exit(capsys):
     assert run(["audit", "--family", "wheel", "--max", "4", "--budget", "1"]) == 3
     capsys.readouterr()
@@ -189,7 +206,7 @@ def test_cli_determinism(capsys):
 def test_round_trip_family_chi(tmp_path, capsys):
     cases = []
     for family in families.FAMILIES:
-        mins = families.FAMILY_PARAM_MINS[family]
+        mins = families.FAMILY_TABLE[family].mins
         if len(mins) == 1:
             cases += [(family, (p,)) for p in range(mins[0], 9)]
         else:
@@ -209,12 +226,15 @@ def test_exit_code_matrix(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("3 1\n0 0\n")
     missing = str(tmp_path / "nope.txt")
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"2 1\n0 1 \xe9\n")
     wheel5 = tmp_path / "w5.txt"
     write_edge_list(families.wheel(5), wheel5)
     matrix = [
         (["chi", str(wheel5)], 0),
         (["chi", missing], 2),
         (["chi", str(bad)], 2),
+        (["chi", str(latin1)], 2),
         (["family", "--name", "cycle", "--params", "2"], 2),
         (["family", "--name", "wheel", "--params", "x"], 2),
         (["edge-color", "--family", "helm", "--params", "3", "--method", "helm"], 2),
@@ -235,6 +255,9 @@ def test_edge_list_error_reports_line_number(tmp_path, capsys):
     assert run(["chi", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "line 3" in err
+    bad.write_bytes(b"3 2\n0 1\n1 2 \xff\n")
+    assert run(["chi", str(bad)]) == 2
+    assert capsys.readouterr().err == "error: line 3: not UTF-8 text (byte 0xff)\n"
 
 
 def test_console_entry_point():
