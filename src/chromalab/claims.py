@@ -19,6 +19,7 @@ sum/product claims (the stated ``n+4``/``3(n+1)`` and the derived
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable
 
 from . import families
@@ -219,10 +220,6 @@ def _audit_point(family: str, point: tuple[int, ...],
     return rows
 
 
-def _audit_point_star(args) -> list[AuditRow]:
-    return _audit_point(*args)
-
-
 def audit_family(family: str, max_param: int, budget_limit: int | None = None,
                  executor=None) -> list[AuditRow]:
     """Audit every registered claim of a family over its parameter range.
@@ -236,12 +233,9 @@ def audit_family(family: str, max_param: int, budget_limit: int | None = None,
     if family not in AUDIT_FAMILIES:
         raise DomainError(f"no registered claims for family {family!r}; "
                           f"choose from {', '.join(AUDIT_FAMILIES)}")
-    points = _param_points(family, max_param)
-    if executor is None:
-        results = [_audit_point(family, p, budget_limit) for p in points]
-    else:
-        results = list(executor.map(_audit_point_star,
-                                    [(family, p, budget_limit) for p in points]))
+    mapper = map if executor is None else executor.map
+    results = mapper(_audit_point, repeat(family), _param_points(family, max_param),
+                     repeat(budget_limit))
     return [row for rows in results for row in rows]
 
 

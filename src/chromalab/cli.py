@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -50,13 +51,14 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _vertex_witness_json(w: VertexColoring) -> str:
-    return json.dumps({"colors": w.num_colors, "assignment": list(w.color_of)}) + "\n"
-
-
-def _edge_witness_json(w: EdgeColoring) -> str:
-    triples = [[u, v, c] for u, v, c in w.assignment()]
-    return json.dumps({"colors": w.num_colors, "assignment": triples}) + "\n"
+def _print_witness(w: VertexColoring | EdgeColoring, fmt: str) -> None:
+    """Print the color count, or with ``--format json`` the witness JSON."""
+    if fmt != "json":
+        print(w.num_colors)
+        return
+    assignment = (list(w.color_of) if isinstance(w, VertexColoring)
+                  else [[u, v, c] for u, v, c in w.assignment()])
+    sys.stdout.write(json.dumps({"colors": w.num_colors, "assignment": assignment}) + "\n")
 
 
 def cmd_family(args) -> int:
@@ -72,22 +74,12 @@ def cmd_linegraph(args) -> int:
 
 
 def cmd_chi(args) -> int:
-    g = read_edge_list(args.file)
-    w = chromatic_number(g, args.budget)
-    if args.format == "json":
-        sys.stdout.write(_vertex_witness_json(w))
-    else:
-        print(w.num_colors)
+    _print_witness(chromatic_number(read_edge_list(args.file), args.budget), args.format)
     return EXIT_OK
 
 
 def cmd_chi_index(args) -> int:
-    g = read_edge_list(args.file)
-    w = chromatic_index(g, args.budget)
-    if args.format == "json":
-        sys.stdout.write(_edge_witness_json(w))
-    else:
-        print(w.num_colors)
+    _print_witness(chromatic_index(read_edge_list(args.file), args.budget), args.format)
     return EXIT_OK
 
 
@@ -118,15 +110,8 @@ def cmd_edge_color(args) -> int:
         if n < family.mins[0] or g != families.make(method, n):
             raise DomainError(f"method {method!r} requires the canonical {method} graph "
                               f"in its documented labeling")
-        builder = {"complete": constructions.edge_color_complete,
-                   "wheel": constructions.edge_color_wheel,
-                   "helm": constructions.edge_color_helm,
-                   "fan": constructions.edge_color_fan}[method]
-        w = builder(n)
-    if args.format == "json":
-        sys.stdout.write(_edge_witness_json(w))
-    else:
-        print(w.num_colors)
+        w = getattr(constructions, "edge_color_" + method)(n)
+    _print_witness(w, args.format)
     return EXIT_OK
 
 
@@ -195,8 +180,10 @@ def cmd_audit(args) -> int:
     executor = None
     rows = []
     try:
-        if args.workers > 1:
-            executor = ProcessPoolExecutor(max_workers=args.workers)
+        # the fork-based pool starts all its workers at once, so never more than CPUs
+        workers = min(args.workers, os.cpu_count() or 1)
+        if workers > 1:
+            executor = ProcessPoolExecutor(max_workers=workers)
         for family in targets:
             if family == "bipartite":
                 cap = min(args.max, 5) if args.family == "all" else args.max
@@ -223,6 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="chromalab",
         description="Exact graph-coloring toolkit and closed-form claims audit.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # FILE, --format and --budget of the exact solvers chi, chi-index and ng check
+    solve = argparse.ArgumentParser(add_help=False)
+    solve.add_argument("file")
+    solve.add_argument("--format", choices=("text", "json"), default="text")
+    solve.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
 
     p = sub.add_parser("family", help="emit a named family graph as an edge list")
     p.add_argument("--name", required=True, choices=families.FAMILIES)
@@ -236,16 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(handler=cmd_linegraph)
 
-    p = sub.add_parser("chi", help="exact chromatic number of an edge-list file")
-    p.add_argument("file")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
+    p = sub.add_parser("chi", parents=[solve],
+                       help="exact chromatic number of an edge-list file")
     p.set_defaults(handler=cmd_chi)
 
-    p = sub.add_parser("chi-index", help="exact chromatic index of an edge-list file")
-    p.add_argument("file")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
+    p = sub.add_parser("chi-index", parents=[solve],
+                       help="exact chromatic index of an edge-list file")
     p.set_defaults(handler=cmd_chi_index)
 
     p = sub.add_parser("edge-color", help="edge-color a graph by a chosen method")
@@ -261,10 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ng", help="Nordhaus-Gaddum checks and constructions")
     ng_sub = p.add_subparsers(dest="ng_command", required=True)
-    q = ng_sub.add_parser("check", help="exact bound report for a graph and its complement")
-    q.add_argument("file")
-    q.add_argument("--format", choices=("text", "json"), default="text")
-    q.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
+    q = ng_sub.add_parser("check", parents=[solve],
+                          help="exact bound report for a graph and its complement")
     q.set_defaults(handler=cmd_ng)
     q = ng_sub.add_parser("feasible", help="is (chi, chi_complement) = (a, b) realizable at order n?")
     q.add_argument("n", type=int)

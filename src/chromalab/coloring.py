@@ -161,6 +161,15 @@ def is_k_colorable(g: Graph, k: int,
     return None
 
 
+def _minimum_coloring(g: Graph, k: int, bud: SearchBudget) -> VertexColoring:
+    """Try k, k+1, ... under one budget; return the first coloring found."""
+    while True:
+        witness = is_k_colorable(g, k, bud)
+        if witness is not None:
+            return witness
+        k += 1
+
+
 def chromatic_number(g: Graph,
                      budget: int | SearchBudget | None = None) -> VertexColoring:
     """Exact minimum vertex coloring; ``num_colors`` is the chromatic number.
@@ -170,19 +179,14 @@ def chromatic_number(g: Graph,
     """
     if g.order == 0:
         return VertexColoring((), 0)
-    bud = _as_budget(budget)
-    k = greedy_clique_lower_bound(g)
-    while True:
-        witness = is_k_colorable(g, k, bud)
-        if witness is not None:
-            return witness
-        k += 1
+    return _minimum_coloring(g, greedy_clique_lower_bound(g), _as_budget(budget))
 
 
 def chromatic_index(g: Graph,
                     budget: int | SearchBudget | None = None) -> EdgeColoring:
     """Exact minimum edge coloring, computed as a coloring of the line graph.
 
+    Iterates k upward from max(max degree, greedy clique of the line graph).
     Requires at least one edge (the chromatic index of an edgeless graph
     is undefined here).
     """
@@ -191,11 +195,7 @@ def chromatic_index(g: Graph,
     bud = _as_budget(budget)
     lg = line_graph(g)
     k = max(max(g.degrees), greedy_clique_lower_bound(lg.graph))
-    while True:
-        witness = is_k_colorable(lg.graph, k, bud)
-        if witness is not None:
-            break
-        k += 1
+    witness = _minimum_coloring(lg.graph, k, bud)
     color_of = {edge: witness.color_of[i] for i, edge in enumerate(lg.edge_of_vertex)}
     return EdgeColoring(color_of, witness.num_colors)
 

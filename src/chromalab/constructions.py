@@ -6,15 +6,22 @@ canonical graph (see :mod:`chromalab.families` for labeling):
 * complete graphs by the circle method (n-1 colors for even n, n for odd);
 * bipartite graphs by iterative insertion with alternating-path flips,
   using exactly the maximum degree;
-* wheels, helms and fans by fixed offset rules on the spoke colors;
+* wheels, helms and fans by one offset rule on the spoke colors;
 * arbitrary graphs by Misra-Gries fan rotation, at most max degree + 1.
 
-The wheel/helm/fan rules color spoke j with color j, the rim or path edge
-leaving position j with color j+2, and the helm pendant at position j
-with color j+3 (all modulo the spoke count).  The three offsets at one
-rim position are pairwise distinct exactly on the stated domains, which
-is why helm(3) and fan(2) are rejected: there the rule cannot work and
-the true optimum differs from the n-color pattern, so those calls raise
+The two insertion schemes share one partial-coloring core: a partner
+table (the neighbor reached from each vertex by each color) with set,
+unset, smallest free color, smallest common free color, and the one
+alternating-path flip.  König inserts an edge with a common free color,
+or else flips the path from v so the color free at u is free at v too.
+Misra-Gries flips the cd-path through u before its fan rotation.
+
+The hub rule colors spoke j with color j, the rim or path edge leaving
+position j with color j+2, and the helm pendant at position j with color
+j+3 (all modulo the spoke count).  The three offsets at one rim position
+are pairwise distinct exactly on the stated domains, which is why
+helm(3) and fan(2) are rejected: there the rule cannot work and the true
+optimum differs from the n-color pattern, so those calls raise
 :class:`ConstructionInfeasibleError` carrying the exact coloring.
 """
 
@@ -50,6 +57,52 @@ def edge_color_complete(n: int) -> EdgeColoring:
     return EdgeColoring(color_of, n)
 
 
+class _PartialEdgeColoring:
+    """A proper partial edge coloring of an order-n graph with a fixed palette.
+
+    ``partner[x][c]`` is the neighbor joined to x by color c, or -1 when c
+    is free at x; ``color_of`` maps canonical edges to their colors.
+    """
+
+    __slots__ = ("partner", "color_of")
+
+    def __init__(self, order: int, palette: int):
+        self.partner = [[-1] * palette for _ in range(order)]
+        self.color_of: dict[tuple[int, int], int] = {}
+
+    def set(self, x: int, y: int, c: int) -> None:
+        self.color_of[(x, y) if x < y else (y, x)] = c
+        self.partner[x][c] = y
+        self.partner[y][c] = x
+
+    def unset(self, x: int, y: int) -> int:
+        c = self.color_of.pop((x, y) if x < y else (y, x))
+        self.partner[x][c] = -1
+        self.partner[y][c] = -1
+        return c
+
+    def free(self, x: int) -> int:
+        """Smallest color free at x."""
+        return self.partner[x].index(-1)
+
+    def common_free(self, x: int, y: int) -> int | None:
+        """Smallest color free at both x and y, or None."""
+        px, py = self.partner[x], self.partner[y]
+        return next((c for c in range(len(px)) if px[c] < 0 and py[c] < 0), None)
+
+    def flip(self, x: int, a: int, b: int) -> None:
+        """Swap a and b on the maximal a/b alternating path that leaves x by color a."""
+        path = []  # (x, y, new color) along the path
+        while self.partner[x][a] >= 0:
+            y = self.partner[x][a]
+            path.append((x, y, b))
+            x, a, b = y, b, a
+        for x, y, _ in path:
+            self.unset(x, y)
+        for x, y, c in path:
+            self.set(x, y, c)
+
+
 def edge_color_bipartite_konig(g: Graph) -> EdgeColoring:
     """Color a nonempty bipartite graph with exactly max_degree(g) colors.
 
@@ -62,63 +115,46 @@ def edge_color_bipartite_konig(g: Graph) -> EdgeColoring:
     if bipartition(g) is None:
         raise DomainError("edge_color_bipartite_konig requires a bipartite graph")
     delta = max_degree(g)
-    partner = [[-1] * delta for _ in range(g.order)]  # partner[x][c] = neighbor via color c
-    color_of = {}
-
-    def assign(x: int, y: int, c: int) -> None:
-        color_of[(x, y) if x < y else (y, x)] = c
-        partner[x][c] = y
-        partner[y][c] = x
-
+    pc = _PartialEdgeColoring(g.order, delta)
     for u, v in g.edges:
-        common = next((c for c in range(delta)
-                       if partner[u][c] < 0 and partner[v][c] < 0), None)
-        if common is not None:
-            assign(u, v, common)
-            continue
-        cu = next(c for c in range(delta) if partner[u][c] < 0)
-        cv = next(c for c in range(delta) if partner[v][c] < 0)
-        # walk the cu/cv alternating path from v; bipartiteness keeps it off u
-        path = []
-        x, col = v, cu
-        while partner[x][col] >= 0:
-            y = partner[x][col]
-            path.append((x, y, col))
-            x, col = y, (cv if col == cu else cu)
-        for x, y, col in path:
-            partner[x][col] = -1
-            partner[y][col] = -1
-        for x, y, col in path:
-            new = cv if col == cu else cu
-            assign(x, y, new)
-        assign(u, v, cu)
-    return EdgeColoring(color_of, delta)
+        c = pc.common_free(u, v)
+        if c is None:
+            c = pc.free(u)
+            pc.flip(v, c, pc.free(v))  # bipartiteness keeps the path off u
+        pc.set(u, v, c)
+    return EdgeColoring(pc.color_of, delta)
+
+
+def _hub_rule(k: int, closed: bool, pendants: bool) -> EdgeColoring:
+    """The k-spoke rule: spoke j gets j, the rim or path edge leaving j gets
+    j+2, the pendant at j gets j+3 (mod k).  The rim closes into a cycle
+    when ``closed``; otherwise it is a path with no edge leaving position k-1.
+    """
+    color_of = {}
+    for j in range(k):
+        color_of[(0, j + 1)] = j
+        if j < k - 1:
+            color_of[(j + 1, j + 2)] = (j + 2) % k
+        elif closed:
+            color_of[(1, k)] = (j + 2) % k
+        if pendants:
+            color_of[(j + 1, k + j + 1)] = (j + 3) % k
+    return EdgeColoring(color_of, k)
 
 
 def edge_color_wheel(n: int) -> EdgeColoring:
-    """Color wheel(n) with n-1 colors; requires n >= 4.
-
-    Spoke to rim position j gets color j; the rim edge from position j to
-    j+1 gets color (j+2) mod (n-1).
-    """
+    """Color wheel(n) with n-1 colors by the hub rule; requires n >= 4."""
     if n < 4:
         raise DomainError(f"edge_color_wheel requires n >= 4 (got n={n})")
-    mod = n - 1
-    color_of = {}
-    for j in range(mod):
-        color_of[(0, j + 1)] = j
-        a, b = j + 1, (j + 1) % mod + 1
-        color_of[(min(a, b), max(a, b))] = (j + 2) % mod
-    return EdgeColoring(color_of, mod)
+    return _hub_rule(n - 1, closed=True, pendants=False)
 
 
 def edge_color_helm(n: int) -> EdgeColoring:
-    """Color helm(n) with n colors; requires n >= 4.
+    """Color helm(n) with n colors by the hub rule; requires n >= 4.
 
-    Spoke at rim position j gets color j, the rim edge leaving j gets
-    (j+2) mod n, the pendant at j gets (j+3) mod n.  At n=3 those three
-    offsets collide and the true optimum is larger, so the call raises
-    :class:`ConstructionInfeasibleError` carrying the exact coloring.
+    At n=3 the rule's three offsets collide and the true optimum is
+    larger, so the call raises :class:`ConstructionInfeasibleError`
+    carrying the exact coloring.
     """
     if n < 3:
         raise DomainError(f"edge_color_helm requires n >= 3 (got n={n})")
@@ -127,23 +163,14 @@ def edge_color_helm(n: int) -> EdgeColoring:
         raise ConstructionInfeasibleError(
             f"the n-color helm rule is infeasible at n=3: max degree is 4 and the "
             f"exact chromatic index is {exact.num_colors}, not 3", exact)
-    color_of = {}
-    for j in range(n):
-        rim = j + 1
-        color_of[(0, rim)] = j
-        a, b = rim, rim % n + 1
-        color_of[(min(a, b), max(a, b))] = (j + 2) % n
-        color_of[(rim, n + rim)] = (j + 3) % n
-    return EdgeColoring(color_of, n)
+    return _hub_rule(n, closed=True, pendants=True)
 
 
 def edge_color_fan(n: int) -> EdgeColoring:
-    """Color fan(n) with n colors; requires n >= 3.
+    """Color fan(n) with n colors by the hub rule; requires n >= 3.
 
-    Spoke to path position j gets color j; the path edge from position j
-    to j+1 gets color (j+2) mod n.  fan(2) is K_3 and needs 3 colors, not
-    2, so it raises :class:`ConstructionInfeasibleError` with the exact
-    coloring attached.
+    fan(2) is K_3 and needs 3 colors, not 2, so it raises
+    :class:`ConstructionInfeasibleError` with the exact coloring attached.
     """
     if n < 2:
         raise DomainError(f"edge_color_fan requires n >= 2 (got n={n})")
@@ -152,12 +179,7 @@ def edge_color_fan(n: int) -> EdgeColoring:
         raise ConstructionInfeasibleError(
             f"the n-color fan rule is infeasible at n=2: fan(2) is a triangle and the "
             f"exact chromatic index is {exact.num_colors}, not 2", exact)
-    color_of = {}
-    for j in range(n):
-        color_of[(0, j + 1)] = j
-        if j < n - 1:
-            color_of[(j + 1, j + 2)] = (j + 2) % n
-    return EdgeColoring(color_of, n)
+    return _hub_rule(n, closed=False, pendants=False)
 
 
 def edge_color_misra_gries(g: Graph) -> EdgeColoring:
@@ -172,42 +194,12 @@ def edge_color_misra_gries(g: Graph) -> EdgeColoring:
     """
     if not g.edges:
         raise DomainError("edge_color_misra_gries requires at least one edge")
-    palette = max_degree(g) + 1
-    partner = [[-1] * palette for _ in range(g.order)]
-    color_of: dict[tuple[int, int], int] = {}
-
-    def set_color(x: int, y: int, c: int) -> None:
-        color_of[(x, y) if x < y else (y, x)] = c
-        partner[x][c] = y
-        partner[y][c] = x
-
-    def unset_color(x: int, y: int) -> int:
-        c = color_of.pop((x, y) if x < y else (y, x))
-        partner[x][c] = -1
-        partner[y][c] = -1
-        return c
-
-    def smallest_free(x: int) -> int:
-        return next(c for c in range(palette) if partner[x][c] < 0)
-
-    def invert_cd_path(u: int, c: int, d: int) -> None:
-        # maximal path from u alternating d, c, d, ...; u has no c edge
-        path = []
-        x, col = u, d
-        while partner[x][col] >= 0:
-            y = partner[x][col]
-            path.append((x, y, col))
-            x, col = y, (c if col == d else d)
-        for x, y, col in path:
-            unset_color(x, y)
-        for x, y, col in path:
-            set_color(x, y, c if col == d else d)
-
+    pc = _PartialEdgeColoring(g.order, max_degree(g) + 1)
+    partner, color_of = pc.partner, pc.color_of
     for u, v in g.edges:
-        common = next((c for c in range(palette)
-                       if partner[u][c] < 0 and partner[v][c] < 0), None)
+        common = pc.common_free(u, v)
         if common is not None:
-            set_color(u, v, common)
+            pc.set(u, v, common)
             continue
         # maximal fan of u starting at v: each next edge's color is free
         # at the previous fan vertex; extend by the smallest such color
@@ -216,8 +208,8 @@ def edge_color_misra_gries(g: Graph) -> EdgeColoring:
         while True:
             last = fan[-1]
             ext = -1
-            for c in range(palette):
-                if partner[last][c] < 0:
+            for c, y in enumerate(partner[last]):
+                if y < 0:
                     x = partner[u][c]
                     if x >= 0 and x not in in_fan:
                         ext = x
@@ -226,10 +218,10 @@ def edge_color_misra_gries(g: Graph) -> EdgeColoring:
                 break
             fan.append(ext)
             in_fan.add(ext)
-        c = smallest_free(u)
-        d = smallest_free(fan[-1])
+        c = pc.free(u)
+        d = pc.free(fan[-1])
         if c != d:
-            invert_cd_path(u, c, d)
+            pc.flip(u, d, c)  # u has no c edge, so the path starts with d
         # d is now free at u; pick the first fan vertex with d free whose
         # prefix is still a fan under the current colors, then rotate
         w_index = -1
@@ -243,9 +235,8 @@ def edge_color_misra_gries(g: Graph) -> EdgeColoring:
                 break
         assert w_index >= 0, "fan rotation invariant violated"
         for j in range(w_index):
-            moved = unset_color(u, fan[j + 1])
-            set_color(u, fan[j], moved)
-        set_color(u, fan[w_index], d)
+            pc.set(u, fan[j], pc.unset(u, fan[j + 1]))
+        pc.set(u, fan[w_index], d)
 
     used = sorted(set(color_of.values()))
     remap = {old: new for new, old in enumerate(used)}

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import SearchBudget, chromatic_number
+from .coloring import SearchBudget, _as_budget, chromatic_number
 from .errors import DomainError
 from .families import complete
 from .graphs import Graph, complement, disjoint_union
@@ -48,12 +48,16 @@ class NgReport:
 
 
 def ng_check(g: Graph, budget: int | SearchBudget | None = None) -> NgReport:
-    """Compute chi(g) and chi(complement(g)) exactly and check all four bounds."""
+    """Compute chi(g) and chi(complement(g)) exactly and check all four bounds.
+
+    Both solves draw on one node budget.
+    """
     n = g.order
     if n == 0:
         raise DomainError("ng_check requires a graph of order >= 1")
-    chi = chromatic_number(g, budget).num_colors
-    chi_comp = chromatic_number(complement(g), budget).num_colors
+    bud = _as_budget(budget)  # one budget for both solves, however it was given
+    chi = chromatic_number(g, bud).num_colors
+    chi_comp = chromatic_number(complement(g), bud).num_colors
     s = chi + chi_comp
     p = chi * chi_comp
     return NgReport(

@@ -1,16 +1,18 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from chromalab import families
+from chromalab import cli, families
 from chromalab.cli import run
 from chromalab.coloring import chromatic_number
 from chromalab.graphs import parse_edge_list, write_edge_list
 
 K5_TEXT = "5 10\n0 1\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
 C5_TEXT = "5 5\n0 1\n0 4\n1 2\n2 3\n3 4\n"
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -196,6 +198,42 @@ def test_audit_workers_deterministic(capsys):
     assert capsys.readouterr().out == serial
 
 
+def test_audit_workers_capped_at_cpu_count(monkeypatch, capsys):
+    # records the pool size instead of forking; map runs in this process
+    sizes = []
+
+    class FakeExecutor:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        map = staticmethod(map)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
+    argv = ["audit", "--family", "helm", "--max", "5", "--format", "csv"]
+    assert run(argv) == 1
+    serial = capsys.readouterr().out
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    assert run(argv + ["--workers", "4096"]) == 1
+    assert sizes == [3]
+    assert capsys.readouterr().out == serial
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown: serial, no pool
+    assert run(argv + ["--workers", "4096"]) == 1
+    assert sizes == [3]
+    assert capsys.readouterr().out == serial
+
+
+def test_audit_default_matches_pinned_fingerprint(tmp_path, capsys):
+    pinned = DATA / "expected_default.json"
+    emitted = tmp_path / "emitted.json"
+    assert run(["audit", "--expected", str(pinned), "--emit-expected", str(emitted)]) == 0
+    capsys.readouterr()
+    assert len(json.loads(pinned.read_text())) == 98
+    assert emitted.read_bytes() == pinned.read_bytes()
+
+
 def test_cli_determinism(capsys):
     run(["audit", "--family", "complete", "--max", "5", "--format", "json"])
     first = capsys.readouterr().out
@@ -230,6 +268,8 @@ def test_exit_code_matrix(tmp_path, capsys):
     latin1.write_bytes(b"2 1\n0 1 \xe9\n")
     wheel5 = tmp_path / "w5.txt"
     write_edge_list(families.wheel(5), wheel5)
+    cycle7 = tmp_path / "c7.txt"
+    write_edge_list(families.cycle(7), cycle7)
     matrix = [
         (["chi", str(wheel5)], 0),
         (["chi", missing], 2),
@@ -239,6 +279,8 @@ def test_exit_code_matrix(tmp_path, capsys):
         (["family", "--name", "wheel", "--params", "x"], 2),
         (["edge-color", "--family", "helm", "--params", "3", "--method", "helm"], 2),
         (["chi", str(wheel5), "--budget", "1"], 3),
+        (["ng", "check", str(cycle7), "--budget", "13"], 3),  # 13 + 13 nodes
+        (["ng", "check", str(cycle7), "--budget", "26"], 0),
         (["nonsense"], 2),
         ([], 2),
         (["--help"], 0),

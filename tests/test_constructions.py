@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -8,12 +9,16 @@ from chromalab.constructions import (edge_color_bipartite_konig,
                                      edge_color_complete, edge_color_fan,
                                      edge_color_helm, edge_color_misra_gries,
                                      edge_color_wheel)
+from chromalab.enumeration import all_labeled_graphs
 from chromalab.errors import ConstructionInfeasibleError, DomainError
-from chromalab.graphs import Graph, max_degree
+from chromalab.graphs import Graph, bipartition, max_degree
 
 PETERSEN = Graph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
                       (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
                       (5, 7), (7, 9), (6, 9), (6, 8), (5, 8)])
+
+#: Digest of ``_witness_digest`` for the witnesses the constructions give today.
+WITNESS_DIGEST = "2e6b10def36b9fa91612f1c68dcb531cf718ac05549c3f8f9f935e8eda1ec181"
 
 
 def _random_bipartite(rng, max_order=20):
@@ -160,3 +165,43 @@ def test_misra_gries_random_within_vizing_bound():
 def test_misra_gries_deterministic():
     g = _random_graph(random.Random(99))
     assert edge_color_misra_gries(g).assignment() == edge_color_misra_gries(g).assignment()
+
+
+def _witness_digest() -> str:
+    """SHA-256 over the (method, num_colors, assignment) of a fixed witness set.
+
+    Misra-Gries on every labeled graph with edges up to order 5 and on 100
+    seeded random graphs of order 6-30 (every other one drawn bipartite),
+    Konig on the bipartite ones among them, and the complete, wheel, helm
+    and fan rules for n <= 40.
+    """
+    h = hashlib.sha256()
+
+    def feed(tag, w):
+        h.update(repr((tag, w.num_colors, w.assignment())).encode())
+
+    graphs = [g for n in range(2, 6) for g in all_labeled_graphs(n) if g.edges]
+    rng = random.Random(2014)
+    for i in range(100):
+        n = rng.randint(6, 30)
+        side = [rng.randint(0, 1) for _ in range(n)] if i % 2 else None
+        p = rng.choice((0.15, 0.3, 0.5))
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n)
+                 if (side is None or side[a] != side[b]) and rng.random() < p]
+        graphs.append(Graph(n, edges or [(0, 1)]))
+    for g in graphs:
+        feed("misra-gries", edge_color_misra_gries(g))
+        if bipartition(g) is not None:
+            feed("konig", edge_color_bipartite_konig(g))
+    for n in range(2, 41):
+        feed("complete", edge_color_complete(n))
+    for n in range(4, 41):
+        feed("wheel", edge_color_wheel(n))
+        feed("helm", edge_color_helm(n))
+    for n in range(3, 41):
+        feed("fan", edge_color_fan(n))
+    return h.hexdigest()
+
+
+def test_construction_witnesses_byte_stable():
+    assert _witness_digest() == WITNESS_DIGEST

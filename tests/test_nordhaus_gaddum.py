@@ -1,8 +1,8 @@
 import pytest
 
 from chromalab import families
-from chromalab.coloring import chromatic_number
-from chromalab.errors import DomainError
+from chromalab.coloring import SearchBudget, chromatic_number
+from chromalab.errors import BudgetExceededError, DomainError
 from chromalab.graphs import Graph, complement, disjoint_union
 from chromalab.nordhaus_gaddum import ng_check, ng_construct, ng_feasible
 
@@ -13,6 +13,15 @@ def test_ng_check_c5_is_tight_both_ways():
     assert r.chi_sum == 6 == r.order + 1          # upper sum tight
     assert 4 * r.chi_product == (r.order + 1) ** 2  # upper product tight
     assert r.all_bounds_ok
+
+
+def test_ng_check_budget_covers_both_solves():
+    # chi(C_7) and chi of its complement take 13 search nodes each
+    g = families.cycle(7)
+    for make in (int, SearchBudget):
+        with pytest.raises(BudgetExceededError):
+            ng_check(g, make(13))
+        assert ng_check(g, make(26)).chi_sum == 7
 
 
 def test_ng_check_k6():
