@@ -5,8 +5,8 @@ quantity of a graph family: the vertex chromatic number ``chi``, the
 chromatic number of the line graph ``chi_line`` (equivalently the
 chromatic index), their ``sum``, or their ``product``.  Formulas are
 plain functions of the family parameters (in the order the family table
-names them), split by parity where the claim is parity-cased, and every
-claim carries a citation string restating the claimed identity so an
+names them), one function per claim that handles its own parity, and
+every claim carries a citation string restating the claimed identity so an
 audit report doubles as an errata table.
 
 Several registered claims are wrong on purpose: the audit's job is to
@@ -19,11 +19,11 @@ sum/product claims (the stated ``n+4``/``3(n+1)`` and the derived
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import product, repeat
 from typing import Callable, Iterable
 
 from . import families
-from .coloring import SearchBudget, chromatic_index, chromatic_number
+from .coloring import _as_budget, chromatic_index, chromatic_number
 from .errors import BudgetExceededError, DomainError
 from .enumeration import connected_bipartite_graphs
 from .graphs import Graph, bipartition
@@ -37,91 +37,79 @@ QUANTITIES = ("chi", "chi_line", "sum", "product")
 
 
 @dataclass(frozen=True)
-class ClaimCase:
-    when: str                   # "even" | "odd" | "any" (parity of the last parameter)
-    value: Callable[..., int]   # the claimed value, from the family parameters in order
-
-
-@dataclass(frozen=True)
 class Claim:
     id: str
     family: str
     quantity: str
     param_mins: tuple[int, ...]
-    cases: tuple[ClaimCase, ...]
+    value: Callable[..., int]   # the claimed value, from the family parameters in order
     citation: str
 
 
-def _claim(id: str, family: str, quantity: str, mins: tuple[int, ...],
-           cases: list[tuple[str, Callable[..., int]]], citation: str) -> Claim:
-    return Claim(id, family, quantity, mins,
-                 tuple(ClaimCase(w, f) for w, f in cases), citation)
-
-
 _REGISTRY: tuple[Claim, ...] = (
-    _claim("complete.sum", "complete", "sum", (2,),
-           [("even", lambda n: 2 * n - 1), ("odd", lambda n: 2 * n)],
-           "chi(K_n) + chi(L(K_n)) = 2n-1 if n even, 2n if n odd (n >= 2)"),
-    _claim("complete.product", "complete", "product", (2,),
-           [("even", lambda n: n * (n - 1)), ("odd", lambda n: n * n)],
-           "chi(K_n) * chi(L(K_n)) = n(n-1) if n even, n^2 if n odd (n >= 2)"),
-    _claim("complete_bipartite.sum", "complete_bipartite", "sum", (1, 1),
-           [("any", lambda m, n: 2 + max(m, n))],
-           "chi(K_{m,n}) + chi(L(K_{m,n})) = 2 + max(m, n)"),
-    _claim("complete_bipartite.product", "complete_bipartite", "product", (1, 1),
-           [("any", lambda m, n: 2 * max(m, n))],
-           "chi(K_{m,n}) * chi(L(K_{m,n})) = 2 max(m, n)"),
-    _claim("star.sum", "star", "sum", (1,),
-           [("any", lambda n: n + 2)],
-           "chi(K_{1,n}) + chi(L(K_{1,n})) = n + 2"),
-    _claim("star.product", "star", "product", (1,),
-           [("any", lambda n: 2 * n)],
-           "chi(K_{1,n}) * chi(L(K_{1,n})) = 2n"),
-    _claim("bistar.sum", "bistar", "sum", (1, 1),
-           [("any", lambda m, n: 2 + max(m, n))],
-           "chi(B_{m,n}) + chi(L(B_{m,n})) = 2 + max(m, n)"),
-    _claim("bistar.product", "bistar", "product", (1, 1),
-           [("any", lambda m, n: 2 * max(m, n))],
-           "chi(B_{m,n}) * chi(L(B_{m,n})) = 2 max(m, n)"),
-    _claim("wheel.chi", "wheel", "chi", (4,),
-           [("even", lambda n: 4), ("odd", lambda n: 3)],
-           "chi(W_n) = 4 if n even, 3 if n odd (n >= 4)"),
-    _claim("wheel.chi_line", "wheel", "chi_line", (4,),
-           [("any", lambda n: n - 1)],
-           "chi'(W_n) = n - 1 (n >= 4)"),
-    _claim("wheel.sum", "wheel", "sum", (4,),
-           [("even", lambda n: n + 3), ("odd", lambda n: n + 2)],
-           "chi(W_n) + chi(L(W_n)) = n+3 if n even, n+2 if n odd (n >= 4)"),
-    _claim("wheel.product", "wheel", "product", (4,),
-           [("even", lambda n: 4 * (n - 1)), ("odd", lambda n: 3 * (n - 1))],
-           "chi(W_n) * chi(L(W_n)) = 4(n-1) if n even, 3(n-1) if n odd (n >= 4)"),
-    _claim("helm.chi", "helm", "chi", (3,),
-           [("even", lambda n: 4), ("odd", lambda n: 3)],
-           "chi(H_n) = 4 if n even, 3 if n odd (n >= 3)"),
-    _claim("helm.chi_line", "helm", "chi_line", (3,),
-           [("any", lambda n: n)],
-           "chi'(H_n) = n (n >= 3)"),
-    _claim("helm.sum", "helm", "sum", (3,),
-           [("even", lambda n: n + 4), ("odd", lambda n: n + 3)],
-           "chi(H_n) + chi(L(H_n)) = n+4 if n even, n+3 if n odd (n >= 3)"),
-    _claim("helm.product", "helm", "product", (3,),
-           [("even", lambda n: 4 * n), ("odd", lambda n: 3 * n)],
-           "chi(H_n) * chi(L(H_n)) = 4n if n even, 3n if n odd (n >= 3)"),
-    _claim("fan.chi_line", "fan", "chi_line", (2,),
-           [("any", lambda n: n)],
-           "chi'(F_{1,n}) = n (n >= 2)"),
-    _claim("fan.sum.statement", "fan", "sum", (2,),
-           [("any", lambda n: n + 4)],
-           "chi(F_{1,n}) + chi(L(F_{1,n})) = n + 4 (statement variant)"),
-    _claim("fan.product.statement", "fan", "product", (2,),
-           [("any", lambda n: 3 * (n + 1))],
-           "chi(F_{1,n}) * chi(L(F_{1,n})) = 3(n + 1) (statement variant)"),
-    _claim("fan.sum.proof", "fan", "sum", (2,),
-           [("any", lambda n: n + 3)],
-           "chi(F_{1,n}) + chi(L(F_{1,n})) = n + 3 (derivation variant)"),
-    _claim("fan.product.proof", "fan", "product", (2,),
-           [("any", lambda n: 3 * n)],
-           "chi(F_{1,n}) * chi(L(F_{1,n})) = 3n (derivation variant)"),
+    Claim("complete.sum", "complete", "sum", (2,),
+          lambda n: 2 * n - 1 if n % 2 == 0 else 2 * n,
+          "chi(K_n) + chi(L(K_n)) = 2n-1 if n even, 2n if n odd (n >= 2)"),
+    Claim("complete.product", "complete", "product", (2,),
+          lambda n: n * (n - 1) if n % 2 == 0 else n * n,
+          "chi(K_n) * chi(L(K_n)) = n(n-1) if n even, n^2 if n odd (n >= 2)"),
+    Claim("complete_bipartite.sum", "complete_bipartite", "sum", (1, 1),
+          lambda m, n: 2 + max(m, n),
+          "chi(K_{m,n}) + chi(L(K_{m,n})) = 2 + max(m, n)"),
+    Claim("complete_bipartite.product", "complete_bipartite", "product", (1, 1),
+          lambda m, n: 2 * max(m, n),
+          "chi(K_{m,n}) * chi(L(K_{m,n})) = 2 max(m, n)"),
+    Claim("star.sum", "star", "sum", (1,),
+          lambda n: n + 2,
+          "chi(K_{1,n}) + chi(L(K_{1,n})) = n + 2"),
+    Claim("star.product", "star", "product", (1,),
+          lambda n: 2 * n,
+          "chi(K_{1,n}) * chi(L(K_{1,n})) = 2n"),
+    Claim("bistar.sum", "bistar", "sum", (1, 1),
+          lambda m, n: 2 + max(m, n),
+          "chi(B_{m,n}) + chi(L(B_{m,n})) = 2 + max(m, n)"),
+    Claim("bistar.product", "bistar", "product", (1, 1),
+          lambda m, n: 2 * max(m, n),
+          "chi(B_{m,n}) * chi(L(B_{m,n})) = 2 max(m, n)"),
+    Claim("wheel.chi", "wheel", "chi", (4,),
+          lambda n: 4 if n % 2 == 0 else 3,
+          "chi(W_n) = 4 if n even, 3 if n odd (n >= 4)"),
+    Claim("wheel.chi_line", "wheel", "chi_line", (4,),
+          lambda n: n - 1,
+          "chi'(W_n) = n - 1 (n >= 4)"),
+    Claim("wheel.sum", "wheel", "sum", (4,),
+          lambda n: n + 3 if n % 2 == 0 else n + 2,
+          "chi(W_n) + chi(L(W_n)) = n+3 if n even, n+2 if n odd (n >= 4)"),
+    Claim("wheel.product", "wheel", "product", (4,),
+          lambda n: 4 * (n - 1) if n % 2 == 0 else 3 * (n - 1),
+          "chi(W_n) * chi(L(W_n)) = 4(n-1) if n even, 3(n-1) if n odd (n >= 4)"),
+    Claim("helm.chi", "helm", "chi", (3,),
+          lambda n: 4 if n % 2 == 0 else 3,
+          "chi(H_n) = 4 if n even, 3 if n odd (n >= 3)"),
+    Claim("helm.chi_line", "helm", "chi_line", (3,),
+          lambda n: n,
+          "chi'(H_n) = n (n >= 3)"),
+    Claim("helm.sum", "helm", "sum", (3,),
+          lambda n: n + 4 if n % 2 == 0 else n + 3,
+          "chi(H_n) + chi(L(H_n)) = n+4 if n even, n+3 if n odd (n >= 3)"),
+    Claim("helm.product", "helm", "product", (3,),
+          lambda n: 4 * n if n % 2 == 0 else 3 * n,
+          "chi(H_n) * chi(L(H_n)) = 4n if n even, 3n if n odd (n >= 3)"),
+    Claim("fan.chi_line", "fan", "chi_line", (2,),
+          lambda n: n,
+          "chi'(F_{1,n}) = n (n >= 2)"),
+    Claim("fan.sum.statement", "fan", "sum", (2,),
+          lambda n: n + 4,
+          "chi(F_{1,n}) + chi(L(F_{1,n})) = n + 4 (statement variant)"),
+    Claim("fan.product.statement", "fan", "product", (2,),
+          lambda n: 3 * (n + 1),
+          "chi(F_{1,n}) * chi(L(F_{1,n})) = 3(n + 1) (statement variant)"),
+    Claim("fan.sum.proof", "fan", "sum", (2,),
+          lambda n: n + 3,
+          "chi(F_{1,n}) + chi(L(F_{1,n})) = n + 3 (derivation variant)"),
+    Claim("fan.product.proof", "fan", "product", (2,),
+          lambda n: 3 * n,
+          "chi(F_{1,n}) * chi(L(F_{1,n})) = 3n (derivation variant)"),
 )
 
 
@@ -150,11 +138,7 @@ def claimed_value(claim: Claim, params: tuple[int, ...]) -> int | None:
                           f"got {len(params)}")
     if any(p < lo for p, lo in zip(params, claim.param_mins)):
         return None
-    parity = "even" if params[-1] % 2 == 0 else "odd"
-    for case in claim.cases:
-        if case.when == "any" or case.when == parity:
-            return case.value(*params)
-    return None
+    return claim.value(*params)
 
 
 @dataclass(frozen=True)
@@ -178,10 +162,19 @@ class AuditRow:
         return f"{self.claim_id}[{self.params_str}]"
 
 
-def _exact_quantities(g: Graph, budget_limit: int | None):
-    bud = SearchBudget(budget_limit) if budget_limit else SearchBudget()
-    chi_w = chromatic_number(g, bud)
-    chi_line_w = chromatic_index(g, bud)
+#: The exact quantities of a point whose solves ran out of budget.
+_NO_VALUES: dict[str, None] = dict.fromkeys(QUANTITIES)
+
+
+def _exact_quantities(g: Graph, budget_limit: int | None) -> tuple[dict, str]:
+    """chi, chi_line, sum and product of g with their witness string, or
+    ``(_NO_VALUES, "")`` when the two solves exceed one shared budget."""
+    bud = _as_budget(budget_limit)
+    try:
+        chi_w = chromatic_number(g, bud)
+        chi_line_w = chromatic_index(g, bud)
+    except BudgetExceededError:
+        return _NO_VALUES, ""
     chi, chi_line = chi_w.num_colors, chi_line_w.num_colors
     values = {"chi": chi, "chi_line": chi_line,
               "sum": chi + chi_line, "product": chi * chi_line}
@@ -190,33 +183,29 @@ def _exact_quantities(g: Graph, budget_limit: int | None):
     return values, witness
 
 
-def _param_points(family: str, max_param: int) -> list[tuple[int, ...]]:
-    mins = AUDIT_FAMILIES[family]
-    if len(mins) == 1:
-        return [(p,) for p in range(mins[0], max_param + 1)]
-    return [(m, n) for m in range(mins[0], max_param + 1)
-            for n in range(mins[1], max_param + 1)]
+def _verdict(exact: int | None, lo: int | None, hi: int | None) -> str:
+    """BUDGET_EXCEEDED without an exact value, CLAIM_UNDEFINED without a
+    claimed range, else whether ``lo <= exact <= hi``."""
+    if exact is None:
+        return BUDGET_EXCEEDED
+    if lo is None:
+        return CLAIM_UNDEFINED
+    return MATCH if lo <= exact <= hi else MISMATCH
+
+
+def _param_points(family: str, max_param: int) -> Iterable[tuple[int, ...]]:
+    return product(*(range(lo, max_param + 1) for lo in AUDIT_FAMILIES[family]))
 
 
 def _audit_point(family: str, point: tuple[int, ...],
                  budget_limit: int | None = None) -> list[AuditRow]:
     params = tuple(zip(families.FAMILY_TABLE[family].params, point))
-    g = families.make(family, *point)
-    claims = claims_for(family)
-    try:
-        values, witness = _exact_quantities(g, budget_limit)
-    except BudgetExceededError:
-        return [AuditRow(c.id, params, None, claimed_value(c, point),
-                         BUDGET_EXCEEDED, "", c.citation) for c in claims]
+    values, witness = _exact_quantities(families.make(family, *point), budget_limit)
     rows = []
-    for c in claims:
-        claimed = claimed_value(c, point)
-        if claimed is None:
-            verdict = CLAIM_UNDEFINED
-        else:
-            verdict = MATCH if values[c.quantity] == claimed else MISMATCH
-        rows.append(AuditRow(c.id, params, values[c.quantity], claimed,
-                             verdict, witness, c.citation))
+    for c in claims_for(family):
+        exact, claimed = values[c.quantity], claimed_value(c, point)
+        rows.append(AuditRow(c.id, params, exact, claimed,
+                             _verdict(exact, claimed, claimed), witness, c.citation))
     return rows
 
 
@@ -252,26 +241,15 @@ def audit_bipartite_bounds(max_order: int,
         raise DomainError("exhaustive bipartite audit is capped at order 7")
     rows = []
     for g in connected_bipartite_graphs(max_order):
-        sides = bipartition(g)
-        m, n_side = sides.sizes
-        hi_sum = 2 + max(m, n_side)
-        hi_prod = 2 * max(m, n_side)
+        big = max(bipartition(g).sizes)
         edges_str = ";".join(f"{u}-{v}" for u, v in g.edges)
         params = (("order", g.order), ("edges", edges_str))
-        try:
-            values, witness = _exact_quantities(g, budget_limit)
-        except BudgetExceededError:
-            for cid in ("bipartite.sum_bounds", "bipartite.product_bounds"):
-                rows.append(AuditRow(cid, params, None, "", BUDGET_EXCEEDED, "",
-                                     _BIPARTITE_CITATION))
-            continue
-        s, p = values["sum"], values["product"]
-        rows.append(AuditRow(
-            "bipartite.sum_bounds", params, s, f"4 <= sum <= {hi_sum}",
-            MATCH if 4 <= s <= hi_sum else MISMATCH, witness, _BIPARTITE_CITATION))
-        rows.append(AuditRow(
-            "bipartite.product_bounds", params, p, f"4 <= product <= {hi_prod}",
-            MATCH if 4 <= p <= hi_prod else MISMATCH, witness, _BIPARTITE_CITATION))
+        values, witness = _exact_quantities(g, budget_limit)
+        for quantity, hi in (("sum", 2 + big), ("product", 2 * big)):
+            exact = values[quantity]
+            claimed = "" if exact is None else f"4 <= {quantity} <= {hi}"
+            rows.append(AuditRow(f"bipartite.{quantity}_bounds", params, exact, claimed,
+                                 _verdict(exact, 4, hi), witness, _BIPARTITE_CITATION))
     return rows
 
 
@@ -287,8 +265,10 @@ def mismatch_keys(rows: Iterable[AuditRow]) -> list[str]:
 _COLUMNS = ("claim", "params", "exact", "claimed", "verdict", "citation")
 
 
-def _cell(value) -> str:
-    return "" if value is None else str(value)
+def _cells(r: AuditRow) -> list[str]:
+    """A row's markdown and CSV cells in ``_COLUMNS`` order; None is empty."""
+    return ["" if v is None else str(v)
+            for v in (r.claim_id, r.params_str, r.exact, r.claimed, r.verdict, r.citation)]
 
 
 def render_report(rows: list[AuditRow], format: str = "markdown") -> str:
@@ -300,10 +280,7 @@ def render_report(rows: list[AuditRow], format: str = "markdown") -> str:
     if format == "markdown":
         out = ["| " + " | ".join(_COLUMNS) + " |",
                "|" + "|".join(" --- " for _ in _COLUMNS) + "|"]
-        for r in rows:
-            cells = (r.claim_id, r.params_str, _cell(r.exact), _cell(r.claimed),
-                     r.verdict, r.citation)
-            out.append("| " + " | ".join(cells) + " |")
+        out += ["| " + " | ".join(_cells(r)) + " |" for r in rows]
         return "\n".join(out) + "\n"
     if format == "csv":
         import csv
@@ -311,9 +288,7 @@ def render_report(rows: list[AuditRow], format: str = "markdown") -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(_COLUMNS)
-        for r in rows:
-            writer.writerow([r.claim_id, r.params_str, _cell(r.exact),
-                             _cell(r.claimed), r.verdict, r.citation])
+        writer.writerows(map(_cells, rows))
         return buf.getvalue()
     if format == "json":
         import json

@@ -265,8 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(handler=cmd_ng)
 
     p = sub.add_parser("audit", help="audit registered closed-form claims against exact values")
-    p.add_argument("--family", default="all",
-                   choices=("all",) + tuple(claims.AUDIT_FAMILIES) + ("bipartite",))
+    p.add_argument("--family", default="all", choices=("all",) + _AUDIT_ALL)
     p.add_argument("--max", type=_positive_int, default=6,
                    help="largest parameter (or bipartite order) to audit")
     p.add_argument("--format", choices=("text", "markdown", "csv", "json"),

@@ -117,7 +117,6 @@ def is_k_colorable(g: Graph, k: int,
     if k == 0:
         return None
     bud = _as_budget(budget)
-    adj = g.adjacency_masks
     deg = g.degrees
     nbrs = g.neighbor_lists
     color_of = [-1] * n

@@ -57,7 +57,7 @@ class FamilySpec:
             raise DomainError(f"{self.family} takes {len(fam.mins)} parameter(s) "
                               f"({', '.join(fam.params)}), got {len(self.params)}")
         for name, lo, value in zip(fam.params, fam.mins, self.params):
-            if not isinstance(value, int) or value < lo:
+            if type(value) is not int or value < lo:
                 raise DomainError(f"{self.family} requires {name} >= {lo} (got {name}={value})")
 
 

@@ -25,7 +25,7 @@ def _canonical_edges(order: int, edges: Iterable) -> tuple[Edge, ...]:
             u, v = item
         except (TypeError, ValueError):
             raise DomainError(f"edge {item!r} is not a pair of vertices") from None
-        if not isinstance(u, int) or not isinstance(v, int):
+        if type(u) is not int or type(v) is not int:  # bool is not a vertex
             raise DomainError(f"edge {item!r} has non-integer endpoints")
         if u == v:
             raise DomainError(f"self-loop at vertex {u} is not allowed")
@@ -50,7 +50,7 @@ class Graph:
     edges: tuple[Edge, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.order, int) or self.order < 0:
+        if type(self.order) is not int or self.order < 0:
             raise DomainError(f"graph order must be a non-negative integer, got {self.order!r}")
         object.__setattr__(self, "edges", _canonical_edges(self.order, self.edges))
 
@@ -82,7 +82,9 @@ class Graph:
         for u, v in self.edges:
             nbrs[u].append(v)
             nbrs[v].append(u)
-        return tuple(tuple(sorted(ns)) for ns in nbrs)
+        # canonical edge order: every (u, x) with u < x precedes every (x, v),
+        # so each list is already ascending
+        return tuple(map(tuple, nbrs))
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:

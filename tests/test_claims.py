@@ -36,26 +36,29 @@ def test_registry_checklist():
     assert len([c for c in reg if c.family == "fan" and c.quantity == "product"]) == 2
 
 
-#: (claim id, parameter point, claimed value), covering every claim and,
-#: for parity-cased claims, one even and one odd point.
+#: (claim id, parameter point, claimed value), covering every claim at an
+#: even and at an odd last parameter.
 CLAIMED_VALUES = [
     ("complete.sum", (6,), 11), ("complete.sum", (7,), 14),
     ("complete.product", (6,), 30), ("complete.product", (7,), 49),
     ("complete_bipartite.sum", (2, 5), 7), ("complete_bipartite.sum", (6, 3), 8),
+    ("complete_bipartite.sum", (3, 4), 6),
     ("complete_bipartite.product", (2, 5), 10), ("complete_bipartite.product", (6, 3), 12),
-    ("star.sum", (5,), 7),
-    ("star.product", (5,), 10),
-    ("bistar.sum", (2, 3), 5), ("bistar.sum", (6, 1), 8),
+    ("complete_bipartite.product", (3, 4), 8),
+    ("star.sum", (4,), 6), ("star.sum", (5,), 7),
+    ("star.product", (4,), 8), ("star.product", (5,), 10),
+    ("bistar.sum", (2, 3), 5), ("bistar.sum", (6, 1), 8), ("bistar.sum", (5, 2), 7),
     ("bistar.product", (2, 3), 6), ("bistar.product", (6, 1), 12),
+    ("bistar.product", (5, 2), 10),
     ("wheel.chi", (6,), 4), ("wheel.chi", (7,), 3),
     ("wheel.chi_line", (4,), 3), ("wheel.chi_line", (7,), 6),
     ("wheel.sum", (6,), 9), ("wheel.sum", (7,), 9),
     ("wheel.product", (6,), 20), ("wheel.product", (7,), 18),
     ("helm.chi", (4,), 4), ("helm.chi", (5,), 3),
-    ("helm.chi_line", (4,), 4),
+    ("helm.chi_line", (4,), 4), ("helm.chi_line", (5,), 5),
     ("helm.sum", (4,), 8), ("helm.sum", (5,), 8),
     ("helm.product", (4,), 16), ("helm.product", (5,), 15),
-    ("fan.chi_line", (4,), 4),
+    ("fan.chi_line", (4,), 4), ("fan.chi_line", (5,), 5),
     ("fan.sum.statement", (4,), 8), ("fan.sum.statement", (7,), 11),
     ("fan.product.statement", (4,), 15), ("fan.product.statement", (7,), 24),
     ("fan.sum.proof", (4,), 7), ("fan.sum.proof", (7,), 10),
@@ -66,12 +69,13 @@ CLAIMED_VALUES = [
 def test_claimed_value_examples():
     for cid, params, value in CLAIMED_VALUES:
         assert claimed_value(_claim(cid), params) == value, (cid, params)
-    # every claim and every parity case is covered above
-    covered = {(cid, "even" if p[-1] % 2 == 0 else "odd") for cid, p, _ in CLAIMED_VALUES}
-    for c in registry():
-        for case in c.cases:
-            parities = ("even", "odd") if case.when == "any" else (case.when,)
-            assert any((c.id, p) in covered for p in parities), (c.id, case.when)
+    # every claim is covered above at an even and at an odd last parameter,
+    # each point inside the claim's domain
+    covered = set()
+    for cid, params, _ in CLAIMED_VALUES:
+        assert all(p >= lo for p, lo in zip(params, _claim(cid).param_mins)), (cid, params)
+        covered.add((cid, params[-1] % 2))
+    assert covered == {(c.id, parity) for c in registry() for parity in (0, 1)}
     # outside the claim's domain -> undefined marker
     assert claimed_value(_claim("complete.sum"), (1,)) is None
     assert claimed_value(_claim("wheel.chi"), (3,)) is None
@@ -120,6 +124,24 @@ def test_audit_budget_marks_rows():
     rows = audit_family("wheel", 5, budget_limit=1)
     assert rows and all(r.verdict == claims.BUDGET_EXCEEDED for r in rows)
     assert mismatch_keys(rows) == []
+    # a family row keeps its claimed value but has no exact value or witness
+    for r in rows:
+        point = tuple(v for _, v in r.params)
+        assert r.exact is None and r.witness == ""
+        assert r.claimed == claimed_value(_claim(r.claim_id), point)
+    # a bipartite row has no claimed range either
+    rows = audit_bipartite_bounds(3, budget_limit=1)
+    assert rows and all(r.verdict == claims.BUDGET_EXCEEDED for r in rows)
+    assert all(r.exact is None and r.claimed == "" and r.witness == "" for r in rows)
+    assert {r.claim_id for r in rows} == {"bipartite.sum_bounds", "bipartite.product_bounds"}
+
+
+def test_audit_budget_must_be_positive():
+    # same rule as SearchBudget(0) and chromatic_number(g, 0)
+    with pytest.raises(DomainError, match="node budget must be positive"):
+        audit_family("wheel", 5, budget_limit=0)
+    with pytest.raises(DomainError, match="node budget must be positive"):
+        audit_bipartite_bounds(3, budget_limit=0)
 
 
 def test_bipartite_bounds_flags_only_k2():

@@ -74,6 +74,11 @@ def test_domain_errors_name_the_bound():
         make("gear", 4)
     with pytest.raises(DomainError, match="takes 2 parameter"):
         make("complete_bipartite", 3)
+    # bool subclasses int; complete(True) would be Graph(True)
+    with pytest.raises(DomainError, match="complete requires n >= 1"):
+        make("complete", True)
+    with pytest.raises(DomainError, match="bistar requires n >= 1"):
+        FamilySpec("bistar", (2, True))
 
 
 def test_generate_dispatches_every_family():

@@ -22,6 +22,24 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 3)])
     with pytest.raises(DomainError):
         Graph(-1, [])
+    # bool subclasses int, but format_edge_list would write "True", which
+    # parse_edge_list rejects, so the round trip would break
+    with pytest.raises(DomainError, match="graph order"):
+        Graph(True)
+    with pytest.raises(DomainError, match="non-integer endpoints"):
+        Graph(3, [(True, 2)])
+    with pytest.raises(DomainError, match="non-integer endpoints"):
+        Graph(3, [(1, False)])
+
+
+def test_neighbor_lists_ascending():
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randrange(0, 16)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                      if rng.random() < rng.random()])
+        for v, ns in enumerate(g.neighbor_lists):
+            assert list(ns) == sorted({u for e in g.edges if v in e for u in e} - {v})
 
 
 def test_complement_complete_is_empty():
