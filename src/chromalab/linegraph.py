@@ -8,6 +8,7 @@ line graph map back to edge colorings deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .graphs import Edge, Graph
 
@@ -21,15 +22,15 @@ class LineGraphResult:
 def line_graph(g: Graph) -> LineGraphResult:
     """Build L(g): one vertex per edge, adjacency = shared endpoint.
 
-    An edgeless source yields the order-0 line graph.
+    Each pair of edge indices incident at one vertex is one line-graph
+    edge, so the work is O(Σ deg²), not O(m²).  Two distinct edges share
+    at most one endpoint, so no pair is emitted twice.  An edgeless
+    source yields the order-0 line graph.
     """
     edges = g.edges
-    m = len(edges)
-    lg_edges = []
-    for i in range(m):
-        a, b = edges[i]
-        for j in range(i + 1, m):
-            c, d = edges[j]
-            if a == c or a == d or b == c or b == d:
-                lg_edges.append((i, j))
-    return LineGraphResult(Graph(m, lg_edges), edges)
+    incident: list[list[int]] = [[] for _ in range(g.order)]
+    for i, (a, b) in enumerate(edges):
+        incident[a].append(i)
+        incident[b].append(i)
+    lg_edges = [pair for ids in incident for pair in combinations(ids, 2)]
+    return LineGraphResult(Graph(len(edges), lg_edges), edges)

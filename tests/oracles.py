@@ -1,9 +1,10 @@
 """Independent brute-force oracles, written separately from the solvers.
 
 These deliberately share nothing with the package's search code: the
-vertex oracle enumerates all k^n assignments with itertools.product, and
-the edge oracle backtracks over edges in input order with no line graph,
-no saturation ordering, no clique bound and no symmetry breaking.
+vertex oracle enumerates all k^n assignments with itertools.product, the
+edge oracle backtracks over edges in input order with no line graph,
+no saturation ordering, no clique bound and no symmetry breaking, and
+the line-graph oracle tests every pair of edges.
 """
 
 from itertools import product
@@ -51,3 +52,11 @@ def brute_force_chromatic_index(g: Graph) -> int:
     while not colorable(k):
         k += 1
     return k
+
+
+def brute_force_line_graph(g: Graph) -> Graph:
+    """L(g) by its definition: scan all O(m^2) pairs of edges for a shared endpoint."""
+    edges = g.edges
+    m = len(edges)
+    return Graph(m, [(i, j) for i in range(m) for j in range(i + 1, m)
+                     if set(edges[i]) & set(edges[j])])

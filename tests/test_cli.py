@@ -63,6 +63,15 @@ def test_chi_index(k5_file, capsys):
     assert capsys.readouterr().out == "5\n"
 
 
+def test_chi_index_certified_within_budget_one(tmp_path, capsys):
+    for name, g, expected in (("k9.txt", families.complete(9), "9\n"),
+                              ("k76.txt", families.complete_bipartite(7, 6), "7\n")):
+        path = tmp_path / name
+        write_edge_list(g, path)
+        assert run(["chi-index", str(path), "--budget", "1"]) == 0
+        assert capsys.readouterr().out == expected
+
+
 def test_edge_color_methods(c5_file, capsys):
     assert run(["edge-color", "--family", "wheel", "--params", "5",
                 "--method", "wheel", "--format", "json"]) == 0
@@ -188,6 +197,14 @@ def test_audit_malformed_expected_is_usage_error(tmp_path, capsys, content):
 def test_audit_budget_exit(capsys):
     assert run(["audit", "--family", "wheel", "--max", "4", "--budget", "1"]) == 3
     capsys.readouterr()
+
+
+def test_audit_complete_bipartite_to_8_within_default_budget(capsys):
+    assert run(["audit", "--family", "complete_bipartite", "--max", "8",
+                "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 + 2 * 64  # header, then sum and product per point
+    assert "BUDGET_EXCEEDED" not in out
 
 
 def test_audit_workers_deterministic(capsys):

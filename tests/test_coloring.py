@@ -1,9 +1,16 @@
+import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from oracles import brute_force_chromatic_index, brute_force_chromatic_number
+from test_constructions import PETERSEN
 
+import chromalab
 from chromalab import families
 from chromalab.coloring import (EdgeColoring, SearchBudget, VertexColoring,
                                 chromatic_index, chromatic_number,
@@ -12,7 +19,10 @@ from chromalab.coloring import (EdgeColoring, SearchBudget, VertexColoring,
 from chromalab.constructions import edge_color_complete
 from chromalab.enumeration import all_labeled_graphs, graph_from_mask, vertex_pairs
 from chromalab.errors import BudgetExceededError, DomainError
-from chromalab.graphs import Graph
+from chromalab.graphs import Graph, bipartition, disjoint_union, max_degree
+
+#: Digest of ``_search_witness_digest`` for the DSATUR witnesses of the Δ-search.
+SEARCH_WITNESS_DIGEST = "f0798b1eed6f953ffd55b9e7d4379977373811177925932da3e6b75c6d2d987d"
 
 
 def test_clique_lower_bound_examples():
@@ -128,3 +138,81 @@ def test_budget_exceeded():
     bud = SearchBudget(10_000)
     chromatic_number(families.cycle(5), bud)
     assert 0 < bud.nodes <= 10_000
+
+
+def _certified(g, budget=None):
+    """chromatic_index(g) under a fresh budget; also returns the nodes it spent."""
+    bud = SearchBudget(budget) if budget else SearchBudget()
+    w = chromatic_index(g, bud)
+    assert validate_edge_coloring(g, w)
+    return w.num_colors, bud.nodes
+
+
+def test_chromatic_index_bipartite_certificate():
+    assert _certified(families.complete_bipartite(7, 6), budget=1) == (7, 0)
+    b = families.bistar(2, 3)
+    assert _certified(b, budget=1) == (brute_force_chromatic_index(b), 0)
+
+
+def test_chromatic_index_overfull_certificate():
+    assert _certified(families.complete(7), budget=1) == (7, 0)
+    assert _certified(families.complete(9), budget=1) == (9, 0)
+    k5 = families.complete(5)
+    assert _certified(k5, budget=1) == (brute_force_chromatic_index(k5), 0)
+
+
+def test_chromatic_index_line_clique_certificate():
+    # the triangle makes a 3-clique in L(G) while Δ = 2; not overfull (5 <= 2 * 3)
+    g = disjoint_union([families.complete(3), families.path(3)])
+    assert _certified(g, budget=1) == (brute_force_chromatic_index(g), 0) == (3, 0)
+
+
+def test_chromatic_index_search_at_delta_backtracks():
+    # class 1, but a DSATUR descent allowed Δ+1 colors ends with Δ+1 of
+    # them, so only the search at k = Δ shows that Δ colors suffice
+    g = Graph(6, [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (2, 4), (3, 4)])
+    colors, nodes = _certified(g)
+    assert colors == brute_force_chromatic_index(g) == max_degree(g) == 4
+    assert nodes > 0
+
+
+def test_chromatic_index_exhausted_search_falls_back_to_misra_gries():
+    k5_star4 = disjoint_union([families.complete(5), families.star(4)])
+    for g, expected in ((PETERSEN, 4), (k5_star4, 5)):
+        colors, nodes = _certified(g)
+        assert colors == brute_force_chromatic_index(g) == expected
+        assert nodes > 0  # the Δ-search ran and was exhausted
+
+
+def _search_witness_digest() -> tuple[str, int]:
+    """SHA-256 over chromatic_index(g).assignment() where the Δ-search answers.
+
+    Every non-bipartite, non-overfull class-1 labeled graph of order <= 5,
+    and wheel(n) for 4 <= n <= 12.  Returns the digest and the graph count.
+    """
+    h = hashlib.sha256()
+    graphs = [g for n in range(2, 6) for g in all_labeled_graphs(n)
+              if g.edges and bipartition(g) is None
+              and g.num_edges <= max_degree(g) * (g.order // 2)]
+    graphs += [families.wheel(n) for n in range(4, 13)]
+    count = 0
+    for g in graphs:
+        w = chromatic_index(g)
+        if w.num_colors == max_degree(g):
+            h.update(repr(w.assignment()).encode())
+            count += 1
+    return h.hexdigest(), count
+
+
+def test_search_witnesses_byte_stable():
+    assert _search_witness_digest() == (SEARCH_WITNESS_DIGEST, 603)
+
+
+@pytest.mark.parametrize("module", ["chromalab.coloring", "chromalab.constructions",
+                                    "chromalab.claims"])
+def test_module_imports_first_in_fresh_interpreter(module):
+    src = str(Path(chromalab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", f"import {module}"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,7 @@
+import random
 from math import comb
+
+from oracles import brute_force_line_graph
 
 from chromalab import families
 from chromalab.coloring import chromatic_number
@@ -62,3 +65,17 @@ def test_line_graph_chromatic_number_within_vizing_band_leq5():
                 continue
             chi_l = chromatic_number(line_graph(g).graph).num_colors
             assert max_degree(g) <= chi_l <= max_degree(g) + 1
+
+
+def test_line_graph_matches_pairwise_definition():
+    rng = random.Random(31)
+    graphs = [Graph(0), Graph(1), Graph(7)]
+    for _ in range(150):
+        n = rng.randint(0, 16)
+        p = rng.choice((0.0, 0.2, 0.5, 0.9))
+        graphs.append(Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                if rng.random() < p]))
+    for g in graphs:
+        lg = line_graph(g)
+        assert lg.graph == brute_force_line_graph(g)
+        assert lg.edge_of_vertex == g.edges
