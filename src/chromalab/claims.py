@@ -19,7 +19,7 @@ sum/product claims (the stated ``n+4``/``3(n+1)`` and the derived
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import product
 from typing import Callable, Iterable
 
 from . import families
@@ -30,7 +30,6 @@ from .graphs import Graph, bipartition
 
 MATCH = "MATCH"
 MISMATCH = "MISMATCH"
-CLAIM_UNDEFINED = "CLAIM_UNDEFINED"
 BUDGET_EXCEEDED = "BUDGET_EXCEEDED"
 
 QUANTITIES = ("chi", "chi_line", "sum", "product")
@@ -123,11 +122,11 @@ def claims_for(family: str) -> tuple[Claim, ...]:
 
 
 #: Families that have registered claims, in family-table order, with the
-#: smallest parameter point audited: the lowest minimum of each parameter
-#: over the family's claims (chi_line needs at least one edge, so complete
+#: smallest parameter point audited: the parameter minimums that all of the
+#: family's claims share (chi_line needs at least one edge, so complete
 #: graphs start at n = 2).
 AUDIT_FAMILIES: dict[str, tuple[int, ...]] = {
-    family: tuple(map(min, *(c.param_mins for c in claims_for(family))))
+    family: claims_for(family)[0].param_mins
     for family in families.FAMILIES if claims_for(family)}
 
 
@@ -183,13 +182,10 @@ def _exact_quantities(g: Graph, budget_limit: int | None) -> tuple[dict, str]:
     return values, witness
 
 
-def _verdict(exact: int | None, lo: int | None, hi: int | None) -> str:
-    """BUDGET_EXCEEDED without an exact value, CLAIM_UNDEFINED without a
-    claimed range, else whether ``lo <= exact <= hi``."""
+def _verdict(exact: int | None, lo: int, hi: int) -> str:
+    """BUDGET_EXCEEDED without an exact value, else whether ``lo <= exact <= hi``."""
     if exact is None:
         return BUDGET_EXCEEDED
-    if lo is None:
-        return CLAIM_UNDEFINED
     return MATCH if lo <= exact <= hi else MISMATCH
 
 
@@ -209,23 +205,20 @@ def _audit_point(family: str, point: tuple[int, ...],
     return rows
 
 
-def audit_family(family: str, max_param: int, budget_limit: int | None = None,
-                 executor=None) -> list[AuditRow]:
+def audit_family(family: str, max_param: int,
+                 budget_limit: int | None = None) -> list[AuditRow]:
     """Audit every registered claim of a family over its parameter range.
 
     One-parameter families sweep from their smallest audited value up to
     ``max_param``; two-parameter families sweep the full grid.  Rows come
     back in deterministic order (ascending parameter point, then registry
-    order).  An optional executor (e.g. ProcessPoolExecutor) fans the
-    parameter points out across workers without changing the order.
+    order).
     """
     if family not in AUDIT_FAMILIES:
         raise DomainError(f"no registered claims for family {family!r}; "
                           f"choose from {', '.join(AUDIT_FAMILIES)}")
-    mapper = map if executor is None else executor.map
-    results = mapper(_audit_point, repeat(family), _param_points(family, max_param),
-                     repeat(budget_limit))
-    return [row for rows in results for row in rows]
+    return [row for point in _param_points(family, max_param)
+            for row in _audit_point(family, point, budget_limit)]
 
 
 def audit_bipartite_bounds(max_order: int,

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import claims, constructions, families
 from .coloring import (DEFAULT_NODE_BUDGET, EdgeColoring, VertexColoring,
@@ -177,22 +175,13 @@ def _read_expected(path: str) -> set[str]:
 def cmd_audit(args) -> int:
     expected = _read_expected(args.expected) if args.expected else set()
     targets = _AUDIT_ALL if args.family == "all" else (args.family,)
-    executor = None
     rows = []
-    try:
-        # the fork-based pool starts all its workers at once, so never more than CPUs
-        workers = min(args.workers, os.cpu_count() or 1)
-        if workers > 1:
-            executor = ProcessPoolExecutor(max_workers=workers)
-        for family in targets:
-            if family == "bipartite":
-                cap = min(args.max, 5) if args.family == "all" else args.max
-                rows += claims.audit_bipartite_bounds(cap, args.budget)
-            else:
-                rows += claims.audit_family(family, args.max, args.budget, executor)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for family in targets:
+        if family == "bipartite":
+            cap = min(args.max, 5) if args.family == "all" else args.max
+            rows += claims.audit_bipartite_bounds(cap, args.budget)
+        else:
+            rows += claims.audit_family(family, args.max, args.budget)
     fmt = "markdown" if args.format in ("text", "markdown") else args.format
     _emit(claims.render_report(rows, fmt), args.out)
     if args.emit_expected:
@@ -271,7 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "markdown", "csv", "json"),
                    default="text")
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=int, choices=(1,), default=1,
+                   help="kept for old invocations; the audit runs in one process, "
+                   "so only 1 is accepted")
     p.add_argument("--expected",
                    help="JSON file with the list of row keys expected to MISMATCH")
     p.add_argument("--emit-expected", dest="emit_expected",
@@ -292,10 +283,7 @@ def run(argv=None) -> int:
         return EXIT_OK if code in (0, None) else EXIT_USAGE
     try:
         return args.handler(args)
-    except (DomainError, EdgeListFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (DomainError, EdgeListFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BudgetExceededError as exc:

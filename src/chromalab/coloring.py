@@ -29,8 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .constructions import EdgeColoring, _konig_insertion, edge_color_misra_gries
 from .errors import BudgetExceededError, DomainError
-from .graphs import Edge, Graph, bipartition
+from .graphs import Graph, bipartition
 from .linegraph import line_graph
 
 #: Default node limit, sized so every instance in the test suite finishes
@@ -70,18 +71,6 @@ class VertexColoring:
 
     color_of: tuple[int, ...]
     num_colors: int
-
-
-@dataclass
-class EdgeColoring:
-    """A proper edge coloring; keys are canonical (u, v) edges with u < v."""
-
-    color_of: dict[Edge, int]
-    num_colors: int
-
-    def assignment(self) -> list[tuple[int, int, int]]:
-        """(u, v, color) triples in canonical edge order."""
-        return [(u, v, self.color_of[(u, v)]) for u, v in sorted(self.color_of)]
 
 
 def greedy_clique_lower_bound(g: Graph) -> int:
@@ -203,16 +192,11 @@ def chromatic_index(g: Graph,
     at least one edge (the chromatic index of an edgeless graph is
     undefined here).
     """
-    # constructions imports this module at its top (EdgeColoring, and
-    # chromatic_index for its helm(3)/fan(2) errors), so the two
-    # certificates are imported here to break the cycle
-    from .constructions import edge_color_bipartite_konig, edge_color_misra_gries
-
     if not g.edges:
         raise DomainError("chromatic index requires a graph with at least one edge")
     bud = _as_budget(budget)
     if bipartition(g) is not None:
-        return edge_color_bipartite_konig(g)
+        return _konig_insertion(g)
     delta = max(g.degrees)
     if g.num_edges > delta * (g.order // 2):
         return edge_color_misra_gries(g)

@@ -27,10 +27,23 @@ optimum differs from the n-color pattern, so those calls raise
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from . import families
-from .coloring import EdgeColoring, chromatic_index
 from .errors import ConstructionInfeasibleError, DomainError
-from .graphs import Graph, bipartition, max_degree
+from .graphs import Edge, Graph, bipartition, max_degree
+
+
+@dataclass
+class EdgeColoring:
+    """A proper edge coloring; keys are canonical (u, v) edges with u < v."""
+
+    color_of: dict[Edge, int]
+    num_colors: int
+
+    def assignment(self) -> list[tuple[int, int, int]]:
+        """(u, v, color) triples in canonical edge order."""
+        return [(u, v, self.color_of[(u, v)]) for u, v in sorted(self.color_of)]
 
 
 def edge_color_complete(n: int) -> EdgeColoring:
@@ -114,6 +127,12 @@ def edge_color_bipartite_konig(g: Graph) -> EdgeColoring:
         raise DomainError("edge_color_bipartite_konig requires at least one edge")
     if bipartition(g) is None:
         raise DomainError("edge_color_bipartite_konig requires a bipartite graph")
+    return _konig_insertion(g)
+
+
+def _konig_insertion(g: Graph) -> EdgeColoring:
+    """The insertion of :func:`edge_color_bipartite_konig` without its
+    checks; g must be nonempty and bipartite."""
     delta = max_degree(g)
     pc = _PartialEdgeColoring(g.order, delta)
     for u, v in g.edges:
@@ -159,6 +178,7 @@ def edge_color_helm(n: int) -> EdgeColoring:
     if n < 3:
         raise DomainError(f"edge_color_helm requires n >= 3 (got n={n})")
     if n == 3:
+        from .coloring import chromatic_index  # coloring imports this module
         exact = chromatic_index(families.helm(3))
         raise ConstructionInfeasibleError(
             f"the n-color helm rule is infeasible at n=3: max degree is 4 and the "
@@ -175,6 +195,7 @@ def edge_color_fan(n: int) -> EdgeColoring:
     if n < 2:
         raise DomainError(f"edge_color_fan requires n >= 2 (got n={n})")
     if n == 2:
+        from .coloring import chromatic_index  # coloring imports this module
         exact = chromatic_index(families.fan(2))
         raise ConstructionInfeasibleError(
             f"the n-color fan rule is infeasible at n=2: fan(2) is a triangle and the "

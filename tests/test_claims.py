@@ -36,6 +36,16 @@ def test_registry_checklist():
     assert len([c for c in reg if c.family == "fan" and c.quantity == "product"]) == 2
 
 
+def test_family_claims_share_one_domain():
+    # the audit starts each family at this point and gives every claim a
+    # claimed value there, so no claim may start higher than its siblings
+    assert claims.AUDIT_FAMILIES == {
+        "complete": (2,), "complete_bipartite": (1, 1), "star": (1,),
+        "bistar": (1, 1), "wheel": (4,), "helm": (3,), "fan": (2,)}
+    for c in registry():
+        assert c.param_mins == claims.AUDIT_FAMILIES[c.family], c.id
+
+
 #: (claim id, parameter point, claimed value), covering every claim at an
 #: even and at an odd last parameter.
 CLAIMED_VALUES = [

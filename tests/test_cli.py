@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from chromalab import cli, families
+from chromalab import families
 from chromalab.cli import run
 from chromalab.coloring import chromatic_number
 from chromalab.graphs import parse_edge_list, write_edge_list
@@ -207,39 +207,12 @@ def test_audit_complete_bipartite_to_8_within_default_budget(capsys):
     assert "BUDGET_EXCEEDED" not in out
 
 
-def test_audit_workers_deterministic(capsys):
-    assert run(["audit", "--family", "helm", "--max", "5", "--format", "csv"]) == 1
-    serial = capsys.readouterr().out
-    assert run(["audit", "--family", "helm", "--max", "5", "--format", "csv",
-                "--workers", "2"]) == 1
-    assert capsys.readouterr().out == serial
-
-
-def test_audit_workers_capped_at_cpu_count(monkeypatch, capsys):
-    # records the pool size instead of forking; map runs in this process
-    sizes = []
-
-    class FakeExecutor:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        map = staticmethod(map)
-
-        def shutdown(self):
-            pass
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
-    argv = ["audit", "--family", "helm", "--max", "5", "--format", "csv"]
-    assert run(argv) == 1
-    serial = capsys.readouterr().out
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-    assert run(argv + ["--workers", "4096"]) == 1
-    assert sizes == [3]
-    assert capsys.readouterr().out == serial
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)  # unknown: serial, no pool
-    assert run(argv + ["--workers", "4096"]) == 1
-    assert sizes == [3]
-    assert capsys.readouterr().out == serial
+def test_audit_workers_one_is_plain_audit(capsys):
+    # --workers is kept for old invocations and accepts only 1
+    assert run(["audit", "--format", "csv"]) == 1
+    plain = capsys.readouterr().out
+    assert run(["audit", "--workers", "1", "--format", "csv"]) == 1
+    assert capsys.readouterr().out == plain
 
 
 def test_audit_default_matches_pinned_fingerprint(tmp_path, capsys):
@@ -302,6 +275,8 @@ def test_exit_code_matrix(tmp_path, capsys):
         ([], 2),
         (["--help"], 0),
         (["ng", "feasible", "0", "1", "1"], 2),
+        (["audit", "--workers", "2"], 2),
+        (["audit", "--workers", "0"], 2),
     ]
     for argv, expected in matrix:
         assert run(argv) == expected, argv
