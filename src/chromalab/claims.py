@@ -40,73 +40,72 @@ class Claim:
     id: str
     family: str
     quantity: str
-    param_mins: tuple[int, ...]
     value: Callable[..., int]   # the claimed value, from the family parameters in order
     citation: str
 
 
 _REGISTRY: tuple[Claim, ...] = (
-    Claim("complete.sum", "complete", "sum", (2,),
+    Claim("complete.sum", "complete", "sum",
           lambda n: 2 * n - 1 if n % 2 == 0 else 2 * n,
           "chi(K_n) + chi(L(K_n)) = 2n-1 if n even, 2n if n odd (n >= 2)"),
-    Claim("complete.product", "complete", "product", (2,),
+    Claim("complete.product", "complete", "product",
           lambda n: n * (n - 1) if n % 2 == 0 else n * n,
           "chi(K_n) * chi(L(K_n)) = n(n-1) if n even, n^2 if n odd (n >= 2)"),
-    Claim("complete_bipartite.sum", "complete_bipartite", "sum", (1, 1),
+    Claim("complete_bipartite.sum", "complete_bipartite", "sum",
           lambda m, n: 2 + max(m, n),
           "chi(K_{m,n}) + chi(L(K_{m,n})) = 2 + max(m, n)"),
-    Claim("complete_bipartite.product", "complete_bipartite", "product", (1, 1),
+    Claim("complete_bipartite.product", "complete_bipartite", "product",
           lambda m, n: 2 * max(m, n),
           "chi(K_{m,n}) * chi(L(K_{m,n})) = 2 max(m, n)"),
-    Claim("star.sum", "star", "sum", (1,),
+    Claim("star.sum", "star", "sum",
           lambda n: n + 2,
           "chi(K_{1,n}) + chi(L(K_{1,n})) = n + 2"),
-    Claim("star.product", "star", "product", (1,),
+    Claim("star.product", "star", "product",
           lambda n: 2 * n,
           "chi(K_{1,n}) * chi(L(K_{1,n})) = 2n"),
-    Claim("bistar.sum", "bistar", "sum", (1, 1),
+    Claim("bistar.sum", "bistar", "sum",
           lambda m, n: 2 + max(m, n),
           "chi(B_{m,n}) + chi(L(B_{m,n})) = 2 + max(m, n)"),
-    Claim("bistar.product", "bistar", "product", (1, 1),
+    Claim("bistar.product", "bistar", "product",
           lambda m, n: 2 * max(m, n),
           "chi(B_{m,n}) * chi(L(B_{m,n})) = 2 max(m, n)"),
-    Claim("wheel.chi", "wheel", "chi", (4,),
+    Claim("wheel.chi", "wheel", "chi",
           lambda n: 4 if n % 2 == 0 else 3,
           "chi(W_n) = 4 if n even, 3 if n odd (n >= 4)"),
-    Claim("wheel.chi_line", "wheel", "chi_line", (4,),
+    Claim("wheel.chi_line", "wheel", "chi_line",
           lambda n: n - 1,
           "chi'(W_n) = n - 1 (n >= 4)"),
-    Claim("wheel.sum", "wheel", "sum", (4,),
+    Claim("wheel.sum", "wheel", "sum",
           lambda n: n + 3 if n % 2 == 0 else n + 2,
           "chi(W_n) + chi(L(W_n)) = n+3 if n even, n+2 if n odd (n >= 4)"),
-    Claim("wheel.product", "wheel", "product", (4,),
+    Claim("wheel.product", "wheel", "product",
           lambda n: 4 * (n - 1) if n % 2 == 0 else 3 * (n - 1),
           "chi(W_n) * chi(L(W_n)) = 4(n-1) if n even, 3(n-1) if n odd (n >= 4)"),
-    Claim("helm.chi", "helm", "chi", (3,),
+    Claim("helm.chi", "helm", "chi",
           lambda n: 4 if n % 2 == 0 else 3,
           "chi(H_n) = 4 if n even, 3 if n odd (n >= 3)"),
-    Claim("helm.chi_line", "helm", "chi_line", (3,),
+    Claim("helm.chi_line", "helm", "chi_line",
           lambda n: n,
           "chi'(H_n) = n (n >= 3)"),
-    Claim("helm.sum", "helm", "sum", (3,),
+    Claim("helm.sum", "helm", "sum",
           lambda n: n + 4 if n % 2 == 0 else n + 3,
           "chi(H_n) + chi(L(H_n)) = n+4 if n even, n+3 if n odd (n >= 3)"),
-    Claim("helm.product", "helm", "product", (3,),
+    Claim("helm.product", "helm", "product",
           lambda n: 4 * n if n % 2 == 0 else 3 * n,
           "chi(H_n) * chi(L(H_n)) = 4n if n even, 3n if n odd (n >= 3)"),
-    Claim("fan.chi_line", "fan", "chi_line", (2,),
+    Claim("fan.chi_line", "fan", "chi_line",
           lambda n: n,
           "chi'(F_{1,n}) = n (n >= 2)"),
-    Claim("fan.sum.statement", "fan", "sum", (2,),
+    Claim("fan.sum.statement", "fan", "sum",
           lambda n: n + 4,
           "chi(F_{1,n}) + chi(L(F_{1,n})) = n + 4 (statement variant)"),
-    Claim("fan.product.statement", "fan", "product", (2,),
+    Claim("fan.product.statement", "fan", "product",
           lambda n: 3 * (n + 1),
           "chi(F_{1,n}) * chi(L(F_{1,n})) = 3(n + 1) (statement variant)"),
-    Claim("fan.sum.proof", "fan", "sum", (2,),
+    Claim("fan.sum.proof", "fan", "sum",
           lambda n: n + 3,
           "chi(F_{1,n}) + chi(L(F_{1,n})) = n + 3 (derivation variant)"),
-    Claim("fan.product.proof", "fan", "product", (2,),
+    Claim("fan.product.proof", "fan", "product",
           lambda n: 3 * n,
           "chi(F_{1,n}) * chi(L(F_{1,n})) = 3n (derivation variant)"),
 )
@@ -122,20 +121,20 @@ def claims_for(family: str) -> tuple[Claim, ...]:
 
 
 #: Families that have registered claims, in family-table order, with the
-#: smallest parameter point audited: the parameter minimums that all of the
-#: family's claims share (chi_line needs at least one edge, so complete
-#: graphs start at n = 2).
+#: smallest parameter point audited; every claim of a family holds from
+#: there (chi_line needs at least one edge, so complete graphs start at
+#: n = 2).
 AUDIT_FAMILIES: dict[str, tuple[int, ...]] = {
-    family: claims_for(family)[0].param_mins
-    for family in families.FAMILIES if claims_for(family)}
+    "complete": (2,), "complete_bipartite": (1, 1), "star": (1,),
+    "bistar": (1, 1), "wheel": (4,), "helm": (3,), "fan": (2,)}
 
 
 def claimed_value(claim: Claim, params: tuple[int, ...]) -> int | None:
-    """The claim's value at params, or None outside its domain."""
-    if len(params) != len(claim.param_mins):
-        raise DomainError(f"{claim.id} takes {len(claim.param_mins)} parameter(s), "
-                          f"got {len(params)}")
-    if any(p < lo for p, lo in zip(params, claim.param_mins)):
+    """The claim's value at params, or None below its family's audited minimum."""
+    mins = AUDIT_FAMILIES[claim.family]
+    if len(params) != len(mins):
+        raise DomainError(f"{claim.id} takes {len(mins)} parameter(s), got {len(params)}")
+    if any(p < lo for p, lo in zip(params, mins)):
         return None
     return claim.value(*params)
 

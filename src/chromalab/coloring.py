@@ -11,15 +11,15 @@ theorem puts it at the maximum degree Δ or at Δ+1, so the certificates
 are tried in this order:
 
 1. bipartite input: König's theorem makes Δ exact (König witness);
-2. overfull input (m > Δ·⌊n/2⌋): every color class is a matching, so
-   Δ+1 is exact (Misra-Gries witness);
-3. a greedy clique of the line graph larger than Δ (a triangle with
-   Δ ≤ 2): Δ+1 is exact (Misra-Gries witness);
-4. otherwise one search for a Δ-coloring of the line graph, mapped back
-   through the edge correspondence; when that search is exhausted, Δ+1
-   is exact (Misra-Gries witness).
+2. Δ ≤ 2 on non-bipartite input: the graph is a union of paths and
+   cycles, one of them odd, so Δ+1 is exact (Misra-Gries witness);
+3. overfull input (m > Δ·⌊n/2⌋): every color class is a matching, so
+   Δ+1 is exact (Misra-Gries witness).
 
-Certified answers spend no search nodes.
+Certified answers spend no search nodes and build no line graph.
+Otherwise one search for a Δ-coloring of the line graph runs, mapped
+back through the edge correspondence; when that search is exhausted,
+Δ+1 is exact (Misra-Gries witness).
 
 Searches are bounded by a node budget and raise
 :class:`BudgetExceededError` rather than running unbounded.
@@ -184,13 +184,12 @@ def chromatic_index(g: Graph,
                     budget: int | SearchBudget | None = None) -> EdgeColoring:
     """Exact minimum edge coloring; ``num_colors`` is the chromatic index.
 
-    Certificates first, in this order: König on bipartite input (Δ
-    colors); Misra-Gries when g is overfull or the line graph's greedy
-    clique exceeds Δ (Δ+1 colors).  Otherwise one search for a Δ-coloring
-    of the line graph, with Misra-Gries as the Δ+1 witness when it is
-    exhausted.  Certified answers spend no nodes of the budget.  Requires
-    at least one edge (the chromatic index of an edgeless graph is
-    undefined here).
+    Three certificates first: König on bipartite input (Δ colors);
+    Misra-Gries when Δ ≤ 2 (an odd cycle) or g is overfull (Δ+1 colors).
+    Otherwise one search for a Δ-coloring of the line graph, with
+    Misra-Gries as the Δ+1 witness when it is exhausted.  Certified
+    answers spend no nodes of the budget.  Requires at least one edge
+    (the chromatic index of an edgeless graph is undefined here).
     """
     if not g.edges:
         raise DomainError("chromatic index requires a graph with at least one edge")
@@ -198,11 +197,9 @@ def chromatic_index(g: Graph,
     if bipartition(g) is not None:
         return _konig_insertion(g)
     delta = max(g.degrees)
-    if g.num_edges > delta * (g.order // 2):
+    if delta <= 2 or g.num_edges > delta * (g.order // 2):
         return edge_color_misra_gries(g)
     lg = line_graph(g)
-    if greedy_clique_lower_bound(lg.graph) > delta:
-        return edge_color_misra_gries(g)
     witness = is_k_colorable(lg.graph, delta, bud)
     if witness is None:
         return edge_color_misra_gries(g)

@@ -22,7 +22,8 @@ j+3 (all modulo the spoke count).  The three offsets at one rim position
 are pairwise distinct exactly on the stated domains, which is why
 helm(3) and fan(2) are rejected: there the rule cannot work and the true
 optimum differs from the n-color pattern, so those calls raise
-:class:`ConstructionInfeasibleError` carrying the exact coloring.
+:class:`ConstructionInfeasibleError` carrying a Misra-Gries coloring,
+which is exact on both graphs.
 """
 
 from __future__ import annotations
@@ -173,13 +174,12 @@ def edge_color_helm(n: int) -> EdgeColoring:
 
     At n=3 the rule's three offsets collide and the true optimum is
     larger, so the call raises :class:`ConstructionInfeasibleError`
-    carrying the exact coloring.
+    carrying the exact coloring: Misra-Gries uses Δ = 4 colors there.
     """
     if n < 3:
         raise DomainError(f"edge_color_helm requires n >= 3 (got n={n})")
     if n == 3:
-        from .coloring import chromatic_index  # coloring imports this module
-        exact = chromatic_index(families.helm(3))
+        exact = edge_color_misra_gries(families.helm(3))
         raise ConstructionInfeasibleError(
             f"the n-color helm rule is infeasible at n=3: max degree is 4 and the "
             f"exact chromatic index is {exact.num_colors}, not 3", exact)
@@ -195,8 +195,7 @@ def edge_color_fan(n: int) -> EdgeColoring:
     if n < 2:
         raise DomainError(f"edge_color_fan requires n >= 2 (got n={n})")
     if n == 2:
-        from .coloring import chromatic_index  # coloring imports this module
-        exact = chromatic_index(families.fan(2))
+        exact = edge_color_misra_gries(families.fan(2))
         raise ConstructionInfeasibleError(
             f"the n-color fan rule is infeasible at n=2: fan(2) is a triangle and the "
             f"exact chromatic index is {exact.num_colors}, not 2", exact)

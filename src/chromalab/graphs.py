@@ -2,8 +2,7 @@
 
 Vertices are dense 0-based indices ``0..order-1``.  Edges are unordered
 pairs stored canonically as ``(u, v)`` with ``u < v``, in lexicographic
-order.  Graphs are values: hashable, compared by labeled equality, and
-safe to share across concurrent tasks.
+order.  Graphs are values: hashable and compared by labeled equality.
 """
 
 from __future__ import annotations
@@ -59,13 +58,8 @@ class Graph:
         return len(self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in self._edge_set
-
-    @cached_property
-    def _edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
+        n = self.order  # range check first: masks[-1] would wrap around
+        return 0 <= u < n and 0 <= v < n and self.adjacency_masks[u] >> v & 1 == 1
 
     @cached_property
     def adjacency_masks(self) -> tuple[int, ...]:
@@ -88,7 +82,7 @@ class Graph:
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(m.bit_count() for m in self.adjacency_masks)
+        return tuple(map(len, self.neighbor_lists))
 
 
 @dataclass(frozen=True)
@@ -113,9 +107,9 @@ class Bipartition:
 
 def complement(g: Graph) -> Graph:
     """Graph on the same vertices whose edges are exactly the non-edges of g."""
-    present = g._edge_set
+    masks = g.adjacency_masks
     edges = [(u, v) for u in range(g.order) for v in range(u + 1, g.order)
-             if (u, v) not in present]
+             if not masks[u] >> v & 1]
     return Graph(g.order, edges)
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from chromalab import claims
+from chromalab import claims, families
 from chromalab.claims import (AuditRow, audit_bipartite_bounds, audit_family,
                               claimed_value, mismatch_keys, registry,
                               render_report)
@@ -37,13 +37,14 @@ def test_registry_checklist():
 
 
 def test_family_claims_share_one_domain():
-    # the audit starts each family at this point and gives every claim a
-    # claimed value there, so no claim may start higher than its siblings
+    # the audit starts each family at this point, and claimed_value reads
+    # every claim's domain from it
     assert claims.AUDIT_FAMILIES == {
         "complete": (2,), "complete_bipartite": (1, 1), "star": (1,),
         "bistar": (1, 1), "wheel": (4,), "helm": (3,), "fan": (2,)}
-    for c in registry():
-        assert c.param_mins == claims.AUDIT_FAMILIES[c.family], c.id
+    # every family with a claim is audited, in family-table order
+    assert list(claims.AUDIT_FAMILIES) == [
+        f for f in families.FAMILIES if any(c.family == f for c in registry())]
 
 
 #: (claim id, parameter point, claimed value), covering every claim at an
@@ -83,7 +84,8 @@ def test_claimed_value_examples():
     # each point inside the claim's domain
     covered = set()
     for cid, params, _ in CLAIMED_VALUES:
-        assert all(p >= lo for p, lo in zip(params, _claim(cid).param_mins)), (cid, params)
+        mins = claims.AUDIT_FAMILIES[_claim(cid).family]
+        assert all(p >= lo for p, lo in zip(params, mins)), (cid, params)
         covered.add((cid, params[-1] % 2))
     assert covered == {(c.id, parity) for c in registry() for parity in (0, 1)}
     # outside the claim's domain -> undefined marker

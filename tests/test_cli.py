@@ -8,7 +8,7 @@ import pytest
 from chromalab import families
 from chromalab.cli import run
 from chromalab.coloring import chromatic_number
-from chromalab.graphs import parse_edge_list, write_edge_list
+from chromalab.graphs import disjoint_union, parse_edge_list, write_edge_list
 
 K5_TEXT = "5 10\n0 1\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
 C5_TEXT = "5 5\n0 1\n0 4\n1 2\n2 3\n3 4\n"
@@ -260,6 +260,8 @@ def test_exit_code_matrix(tmp_path, capsys):
     write_edge_list(families.wheel(5), wheel5)
     cycle7 = tmp_path / "c7.txt"
     write_edge_list(families.cycle(7), cycle7)
+    long_cycle = tmp_path / "c1501_p3.txt"
+    write_edge_list(disjoint_union([families.cycle(1501), families.path(3)]), long_cycle)
     matrix = [
         (["chi", str(wheel5)], 0),
         (["chi", missing], 2),
@@ -271,6 +273,7 @@ def test_exit_code_matrix(tmp_path, capsys):
         (["chi", str(wheel5), "--budget", "1"], 3),
         (["ng", "check", str(cycle7), "--budget", "13"], 3),  # 13 + 13 nodes
         (["ng", "check", str(cycle7), "--budget", "26"], 0),
+        (["chi-index", str(long_cycle)], 0),  # Δ = 2: certified, no deep search
         (["nonsense"], 2),
         ([], 2),
         (["--help"], 0),

@@ -161,10 +161,15 @@ def test_chromatic_index_overfull_certificate():
     assert _certified(k5, budget=1) == (brute_force_chromatic_index(k5), 0)
 
 
-def test_chromatic_index_line_clique_certificate():
-    # the triangle makes a 3-clique in L(G) while Δ = 2; not overfull (5 <= 2 * 3)
-    g = disjoint_union([families.complete(3), families.path(3)])
-    assert _certified(g, budget=1) == (brute_force_chromatic_index(g), 0) == (3, 0)
+def test_chromatic_index_max_degree_two_certificate():
+    # Δ = 2 and not bipartite: paths and cycles, one of them odd, so Δ+1 is
+    # exact.  None of these is overfull (m <= 2 * (n // 2))
+    for k in (3, 5):
+        g = disjoint_union([families.cycle(k), families.path(3)])
+        assert _certified(g, budget=1) == (brute_force_chromatic_index(g), 0) == (3, 0)
+    # long enough that a DSATUR search of its line graph would recurse too deep
+    g = disjoint_union([families.cycle(1501), families.path(3)])
+    assert _certified(g, budget=1) == (3, 0)
 
 
 def test_chromatic_index_search_at_delta_backtracks():

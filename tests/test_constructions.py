@@ -1,9 +1,11 @@
+import ast
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
-from chromalab import families
+from chromalab import constructions, families
 from chromalab.coloring import chromatic_index, validate_edge_coloring
 from chromalab.constructions import (edge_color_bipartite_konig,
                                      edge_color_complete, edge_color_fan,
@@ -205,3 +207,16 @@ def _witness_digest() -> str:
 
 def test_construction_witnesses_byte_stable():
     assert _witness_digest() == WITNESS_DIGEST
+
+
+def test_constructions_import_nothing_from_coloring():
+    # coloring imports constructions, so an import back would be a cycle
+    tree = ast.parse(Path(constructions.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        assert not any(name.split(".")[-1] == "coloring" for name in names), ast.dump(node)

@@ -13,6 +13,10 @@ def test_graph_canonicalization():
     g = Graph(4, [(2, 0), (0, 2), (1, 3)])
     assert g.edges == ((0, 2), (1, 3))
     assert g.has_edge(2, 0) and not g.has_edge(0, 1)
+    # out-of-range vertices are absent: -1 must not wrap around to vertex 2
+    h = Graph(3, [(0, 2), (1, 2)])
+    for u, v in ((-1, 2), (0, 5), (-1, 0), (0, -1), (5, 0)):
+        assert not h.has_edge(u, v), (u, v)
 
 
 def test_graph_rejects_bad_edges():
