@@ -3,8 +3,11 @@
 The vertex solver is a backtracking search in dynamic DSATUR order
 (maximum saturation, ties by maximum degree, then lowest index), trying
 colors in ascending order with symmetry breaking: a vertex may use at
-most one color index beyond the maximum used so far.  All tie-breaking
-is fixed, so returned witnesses are byte-stable across runs.
+most one color index beyond the maximum used so far.  Its stack is
+explicit, so depth is bounded only by the node budget, and uncolored
+vertices sit in saturation classes kept as bitmasks over ranks (degree
+descending, then index).  All tie-breaking is fixed, so returned
+witnesses are byte-stable across runs.
 
 The chromatic index is certified before it is searched.  Vizing's
 theorem puts it at the maximum degree Δ or at Δ+1, so the certificates
@@ -106,78 +109,74 @@ def is_k_colorable(g: Graph, k: int,
     """Return a proper coloring of g with at most k colors, or None.
 
     The witness may use fewer than k colors; its color indices are
-    contiguous and all used.  Absence is a value, not an error.
+    contiguous and all used.  Absence is a value, not an error.  The
+    stack is explicit, so depth is bounded only by the node budget, and
+    picks come from saturation classes kept as bitmasks over ranks.
     """
     if k < 0:
         raise DomainError(f"color count must be >= 0, got {k}")
-    n = g.order
-    if n == 0:
-        return VertexColoring((), 0)
-    if k == 0:
-        return None
     bud = _as_budget(budget)
-    deg = g.degrees
-    nbrs = g.neighbor_lists
+    n = g.order
+    vertex = sorted(range(n), key=g.degrees.__getitem__, reverse=True)
+    rank = sorted(range(n), key=vertex.__getitem__)
     color_of = [-1] * n
     neigh_colors = [0] * n  # bitmask of colors already on colored neighbors
-
-    def pick() -> int:
-        best, best_sat, best_deg = -1, -1, -1
-        for v in range(n):
-            if color_of[v] < 0:
-                s = neigh_colors[v].bit_count()
-                if s > best_sat or (s == best_sat and deg[v] > best_deg):
-                    best, best_sat, best_deg = v, s, deg[v]
-        return best
-
-    def extend(colored: int, used: int) -> bool:
-        if colored == n:
-            return True
-        v = pick()
-        forbidden = neigh_colors[v]
-        top = min(k - 1, used)  # symmetry breaking: at most one fresh color
-        for c in range(top + 1):
-            if forbidden >> c & 1:
-                continue
-            bud.spend()
-            color_of[v] = c
-            bit = 1 << c
-            touched = []
-            for u in nbrs[v]:
-                if color_of[u] < 0 and not neigh_colors[u] & bit:
-                    neigh_colors[u] |= bit
-                    touched.append(u)
-            if extend(colored + 1, used if c < used else used + 1):
-                return True
-            for u in touched:
-                neigh_colors[u] &= ~bit
+    by_sat = [(1 << n) - 1] + [0] * min(k, n - 1)  # ranks of uncolored, by saturation
+    stack, used = [], 0  # frames (vertex, color, used-before, touched)
+    while len(stack) < n:
+        s = used  # saturation counts colors in use, and used <= min(k, n - 1)
+        while not by_sat[s]:
+            s -= 1
+        low = by_sat[s] & -by_sat[s]
+        by_sat[s] ^= low
+        v, c = vertex[low.bit_length() - 1], 0
+        while True:
+            forbidden = neigh_colors[v]
+            top = used if used < k else k - 1  # symmetry breaking: at most one fresh color
+            while c <= top and forbidden >> c & 1:
+                c += 1
+            if c <= top:
+                break
+            # v has no color left: return it to its class, undo its parent
+            by_sat[forbidden.bit_count()] |= 1 << rank[v]
+            if not stack:
+                return None
+            v, c, used, touched = stack.pop()
             color_of[v] = -1
-        return False
-
-    if extend(0, 0):
-        return VertexColoring(tuple(color_of), max(color_of) + 1)
-    return None
-
-
-def _minimum_coloring(g: Graph, k: int, bud: SearchBudget) -> VertexColoring:
-    """Try k, k+1, ... under one budget; return the first coloring found."""
-    while True:
-        witness = is_k_colorable(g, k, bud)
-        if witness is not None:
-            return witness
-        k += 1
+            for u in touched:
+                neigh_colors[u] ^= 1 << c
+                s, r = neigh_colors[u].bit_count(), 1 << rank[u]
+                by_sat[s + 1] ^= r
+                by_sat[s] |= r
+            c += 1
+        bud.spend()
+        color_of[v] = c
+        bit = 1 << c
+        touched = []
+        for u in g.neighbor_lists[v]:
+            if color_of[u] < 0 and not neigh_colors[u] & bit:
+                s, r = neigh_colors[u].bit_count(), 1 << rank[u]
+                by_sat[s] ^= r
+                by_sat[s + 1] |= r
+                neigh_colors[u] |= bit
+                touched.append(u)
+        stack.append((v, c, used, touched))
+        used = max(used, c + 1)
+    return VertexColoring(tuple(color_of), used)
 
 
 def chromatic_number(g: Graph,
                      budget: int | SearchBudget | None = None) -> VertexColoring:
     """Exact minimum vertex coloring; ``num_colors`` is the chromatic number.
 
-    Iterates k upward from the greedy clique lower bound.  The order-0
-    graph needs 0 colors and any edgeless nonempty graph needs 1.
+    Tries k upward from the greedy clique lower bound, under one budget.
+    The order-0 graph needs 0 colors and any edgeless nonempty graph needs 1.
     """
-    if g.order == 0:
-        return VertexColoring((), 0)
-    return _minimum_coloring(g, greedy_clique_lower_bound(g), _as_budget(budget))
+    bud = _as_budget(budget)
+    k = greedy_clique_lower_bound(g)
+    while (witness := is_k_colorable(g, k, bud)) is None:
+        k += 1
+    return witness
 
 
 def chromatic_index(g: Graph,

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from test_coloring import odd_prism
+
 from chromalab import families
 from chromalab.cli import run
 from chromalab.coloring import chromatic_number
@@ -262,6 +264,10 @@ def test_exit_code_matrix(tmp_path, capsys):
     write_edge_list(families.cycle(7), cycle7)
     long_cycle = tmp_path / "c1501_p3.txt"
     write_edge_list(disjoint_union([families.cycle(1501), families.path(3)]), long_cycle)
+    cycle1501 = tmp_path / "c1501.txt"
+    write_edge_list(families.cycle(1501), cycle1501)
+    prism = tmp_path / "prism.txt"
+    write_edge_list(odd_prism(), prism)
     matrix = [
         (["chi", str(wheel5)], 0),
         (["chi", missing], 2),
@@ -274,6 +280,8 @@ def test_exit_code_matrix(tmp_path, capsys):
         (["ng", "check", str(cycle7), "--budget", "13"], 3),  # 13 + 13 nodes
         (["ng", "check", str(cycle7), "--budget", "26"], 0),
         (["chi-index", str(long_cycle)], 0),  # Δ = 2: certified, no deep search
+        (["chi", str(cycle1501)], 0),  # 1501 vertices deep, past the recursion limit
+        (["chi-index", str(prism)], 0),  # Δ-search 999 vertices deep in L(C_333 □ K_2)
         (["nonsense"], 2),
         ([], 2),
         (["--help"], 0),

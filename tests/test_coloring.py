@@ -23,6 +23,16 @@ from chromalab.graphs import Graph, bipartition, disjoint_union, max_degree
 
 #: Digest of ``_search_witness_digest`` for the DSATUR witnesses of the Δ-search.
 SEARCH_WITNESS_DIGEST = "f0798b1eed6f953ffd55b9e7d4379977373811177925932da3e6b75c6d2d987d"
+#: Digest of ``_chromatic_number_digest``: DSATUR witnesses and node counts.
+CHROMATIC_NUMBER_DIGEST = "57722e5ddce0fe7613628bba19aff018f4784493de8c77a9f32d1f84b729561a"
+
+
+def odd_prism(n: int = 333) -> Graph:
+    """C_n □ K_2: vertex i of one n-cycle is joined to vertex n + i of the other."""
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    edges += [(n + i, n + (i + 1) % n) for i in range(n)]
+    edges += [(i, n + i) for i in range(n)]
+    return Graph(2 * n, edges)
 
 
 def test_clique_lower_bound_examples():
@@ -49,6 +59,11 @@ def test_is_k_colorable_zero_colors():
     assert is_k_colorable(Graph(3), 0) is None
     with pytest.raises(DomainError):
         is_k_colorable(Graph(3), -1)
+
+
+def test_is_k_colorable_huge_k():
+    # the saturation classes are sized by the order, not by k
+    assert is_k_colorable(families.cycle(5), 10**12) == VertexColoring((0, 1, 0, 1, 2), 3)
 
 
 def test_is_k_colorable_monotone():
@@ -211,6 +226,49 @@ def _search_witness_digest() -> tuple[str, int]:
 
 def test_search_witnesses_byte_stable():
     assert _search_witness_digest() == (SEARCH_WITNESS_DIGEST, 603)
+
+
+def _chromatic_number_digest() -> tuple[str, int]:
+    """SHA-256 over chromatic_number's (color_of, nodes) and the nodes of the
+    exhausted search at χ − 1, for every labeled graph of order 1 to 5.
+
+    Pins DSATUR's pick order (saturation, then degree, then lowest index),
+    its color order and its symmetry breaking.  Returns the digest and the
+    graph count.
+    """
+    h = hashlib.sha256()
+    count = 0
+    for n in range(1, 6):
+        for g in all_labeled_graphs(n):
+            bud = SearchBudget()
+            w = chromatic_number(g, bud)
+            spent = bud.nodes
+            bud = SearchBudget()
+            assert is_k_colorable(g, w.num_colors - 1, bud) is None
+            h.update(repr((w.color_of, spent, bud.nodes)).encode())
+            count += 1
+    return h.hexdigest(), count
+
+
+def test_chromatic_number_witnesses_and_nodes_byte_stable():
+    assert _chromatic_number_digest() == (CHROMATIC_NUMBER_DIGEST, 1099)
+
+
+def test_deep_searches_need_no_recursion():
+    # each search is as deep as the graph's order, past the recursion limit
+    for g, colors, nodes in ((families.cycle(5000), 2, 5000),
+                             (families.cycle(5001), 3, 10001),
+                             (families.path(5000), 2, 5000)):
+        assert g.order > sys.getrecursionlimit()
+        bud = SearchBudget()
+        w = chromatic_number(g, bud)
+        assert (w.num_colors, bud.nodes) == (colors, nodes)
+        assert validate_vertex_coloring(g, w)
+    # odd prism: not bipartite, Δ = 3, not overfull, so χ′ runs the Δ-search
+    # on its 999-vertex line graph
+    g = odd_prism()
+    assert (g.order, g.num_edges) == (666, 999)
+    assert _certified(g) == (3, 999)
 
 
 @pytest.mark.parametrize("module", ["chromalab.coloring", "chromalab.constructions",

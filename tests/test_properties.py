@@ -1,0 +1,75 @@
+"""Property tests of the exact solvers on small random graphs.
+
+The solvers are checked against the independent oracles in ``oracles.py``
+and against three identities: χ and χ′ do not depend on vertex labels,
+χ(G ∪ H) = max(χ(G), χ(H)) and χ(G + H) = χ(G) + χ(H).  Examples are
+derandomized, so every run draws the same graphs.
+"""
+
+from itertools import combinations
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from oracles import brute_force_chromatic_index, brute_force_chromatic_number
+
+from chromalab.coloring import (chromatic_index, chromatic_number,
+                                validate_edge_coloring, validate_vertex_coloring)
+from chromalab.graphs import Graph, disjoint_union, join
+
+FIXED = settings(derandomize=True, deadline=None, database=None, max_examples=200)
+
+
+@st.composite
+def graphs(draw, max_order: int = 6) -> Graph:
+    n = draw(st.integers(0, max_order))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [p for p, k in zip(pairs, keep) if k])
+
+
+@FIXED
+@given(graphs())
+def test_chromatic_number_matches_oracle(g):
+    w = chromatic_number(g)
+    assert validate_vertex_coloring(g, w)
+    assert w.num_colors == brute_force_chromatic_number(g)
+
+
+@FIXED
+@given(graphs())
+def test_chromatic_index_matches_oracle(g):
+    if g.edges:
+        w = chromatic_index(g)
+        assert validate_edge_coloring(g, w)
+        assert w.num_colors == brute_force_chromatic_index(g)
+
+
+@FIXED
+@given(graphs().flatmap(lambda g: st.tuples(st.just(g), st.permutations(range(g.order)))))
+def test_relabeling_keeps_chi_and_chi_index(case):
+    g, perm = case
+    h = Graph(g.order, [(perm[u], perm[v]) for u, v in g.edges])
+    assert chromatic_number(h).num_colors == chromatic_number(g).num_colors
+    if g.edges:
+        assert chromatic_index(h).num_colors == chromatic_index(g).num_colors
+
+
+@FIXED
+@given(graphs(), graphs())
+def test_chi_of_disjoint_union_is_max(g, h):
+    union = disjoint_union([g, h])
+    w = chromatic_number(union)
+    assert validate_vertex_coloring(union, w)
+    assert w.num_colors == max(chromatic_number(g).num_colors, chromatic_number(h).num_colors)
+
+
+@FIXED
+@given(graphs(), graphs())
+def test_chi_of_join_is_sum(g, h):
+    both = join(g, h)
+    w = chromatic_number(both)
+    assert validate_vertex_coloring(both, w)
+    assert w.num_colors == chromatic_number(g).num_colors + chromatic_number(h).num_colors
