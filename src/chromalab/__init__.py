@@ -18,7 +18,6 @@ from .errors import (
     EdgeListFormatError,
 )
 from .graphs import (
-    Bipartition,
     Graph,
     bipartition,
     complement,
@@ -33,7 +32,6 @@ from .linegraph import LineGraphResult, line_graph
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bipartition",
     "BudgetExceededError",
     "ConstructionInfeasibleError",
     "DomainError",

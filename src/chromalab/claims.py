@@ -233,7 +233,8 @@ def audit_bipartite_bounds(max_order: int,
         raise DomainError("exhaustive bipartite audit is capped at order 7")
     rows = []
     for g in connected_bipartite_graphs(max_order):
-        big = max(bipartition(g).sizes)
+        ones = sum(bipartition(g))
+        big = max(ones, g.order - ones)
         edges_str = ";".join(f"{u}-{v}" for u, v in g.edges)
         params = (("order", g.order), ("edges", edges_str))
         values, witness = _exact_quantities(g, budget_limit)

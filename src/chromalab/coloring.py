@@ -48,6 +48,8 @@ class SearchBudget:
     __slots__ = ("limit", "nodes")
 
     def __init__(self, limit: int = DEFAULT_NODE_BUDGET):
+        if type(limit) is not int:  # bool is not a node count
+            raise DomainError(f"node budget must be an integer, got {limit!r}")
         if limit <= 0:
             raise DomainError(f"node budget must be positive, got {limit}")
         self.limit = limit
@@ -116,8 +118,11 @@ def is_k_colorable(g: Graph, k: int,
     if k < 0:
         raise DomainError(f"color count must be >= 0, got {k}")
     bud = _as_budget(budget)
-    n = g.order
-    vertex = sorted(range(n), key=g.degrees.__getitem__, reverse=True)
+    n, nbrs = g.order, g.neighbor_lists
+    # degrees from the lists, not g.degrees: a line graph searched here
+    # would otherwise build its adjacency masks for this sort alone
+    deg = tuple(map(len, nbrs))
+    vertex = sorted(range(n), key=deg.__getitem__, reverse=True)
     rank = sorted(range(n), key=vertex.__getitem__)
     color_of = [-1] * n
     neigh_colors = [0] * n  # bitmask of colors already on colored neighbors
@@ -153,7 +158,7 @@ def is_k_colorable(g: Graph, k: int,
         color_of[v] = c
         bit = 1 << c
         touched = []
-        for u in g.neighbor_lists[v]:
+        for u in nbrs[v]:
             if color_of[u] < 0 and not neigh_colors[u] & bit:
                 s, r = neigh_colors[u].bit_count(), 1 << rank[u]
                 by_sat[s] ^= r
@@ -213,7 +218,7 @@ def validate_vertex_coloring(g: Graph, c: VertexColoring) -> bool:
         return False
     if g.order == 0:
         return c.num_colors == 0
-    if any(not isinstance(col, int) or col < 0 for col in colors):
+    if any(type(col) is not int or col < 0 for col in colors):
         return False
     if c.num_colors != max(colors) + 1:
         return False
@@ -229,7 +234,7 @@ def validate_edge_coloring(g: Graph, c: EdgeColoring) -> bool:
     used = set(c.color_of.values())
     if not g.edges:
         return c.num_colors == 0
-    if any(not isinstance(col, int) or col < 0 for col in used):
+    if any(type(col) is not int or col < 0 for col in used):
         return False
     if used != set(range(c.num_colors)):
         return False

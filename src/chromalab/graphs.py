@@ -7,7 +7,6 @@ order.  Graphs are values: hashable and compared by labeled equality.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -82,27 +81,7 @@ class Graph:
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(map(len, self.neighbor_lists))
-
-
-@dataclass(frozen=True)
-class Bipartition:
-    """A two-sided vertex partition; side 0 is X, side 1 is Y."""
-
-    side_of: tuple[int, ...]
-
-    @property
-    def x_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v, s in enumerate(self.side_of) if s == 0)
-
-    @property
-    def y_vertices(self) -> tuple[int, ...]:
-        return tuple(v for v, s in enumerate(self.side_of) if s == 1)
-
-    @property
-    def sizes(self) -> tuple[int, int]:
-        x = sum(1 for s in self.side_of if s == 0)
-        return x, len(self.side_of) - x
+        return tuple(map(int.bit_count, self.adjacency_masks))
 
 
 def complement(g: Graph) -> Graph:
@@ -140,27 +119,33 @@ def max_degree(g: Graph) -> int:
     return max(g.degrees, default=0)
 
 
-def bipartition(g: Graph) -> Bipartition | None:
-    """Two-color g by BFS if possible, else None.
+def bipartition(g: Graph) -> tuple[int, ...] | None:
+    """Side (0 or 1) of each vertex in a two-coloring of g, or None on an odd cycle.
 
-    Deterministic: the lowest-index vertex of each component goes to X.
+    A breadth-first search over ``adjacency_masks`` whose layers are
+    bitmasks.  Each component starts at its lowest-index vertex, on side 0,
+    and layers alternate sides, so a vertex's side is the parity of its
+    distance from that vertex.  An edge inside a layer closes an odd cycle.
+    The order-0 graph gives the falsy ``()``, so callers test ``is None``.
     """
-    side = [-1] * g.order
-    nbrs = g.neighbor_lists
-    for root in range(g.order):
-        if side[root] != -1:
-            continue
-        side[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for u in nbrs[v]:
-                if side[u] == -1:
-                    side[u] = 1 - side[v]
-                    queue.append(u)
-                elif side[u] == side[v]:
-                    return None
-    return Bipartition(tuple(side))
+    masks = g.adjacency_masks
+    unseen = (1 << g.order) - 1
+    odd = 0  # vertices at odd distance from their component's start
+    while unseen:
+        layer, parity = unseen & -unseen, 0
+        while layer:
+            unseen ^= layer
+            reach, m = 0, layer
+            while m:
+                low = m & -m
+                reach |= masks[low.bit_length() - 1]
+                m ^= low
+            if reach & layer:
+                return None
+            if parity:
+                odd |= layer
+            layer, parity = reach & unseen, parity ^ 1
+    return tuple(odd >> v & 1 for v in range(g.order))
 
 
 def parse_edge_list(text: str) -> Graph:

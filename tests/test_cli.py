@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -224,6 +225,18 @@ def test_audit_default_matches_pinned_fingerprint(tmp_path, capsys):
     capsys.readouterr()
     assert len(json.loads(pinned.read_text())) == 98
     assert emitted.read_bytes() == pinned.read_bytes()
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["audit", "--format", "json"],
+     "85025f249cc920117231e17978c8669e3ac73ac3f85654e9803708d1762114c5"),
+    (["audit", "--family", "bipartite", "--max", "6", "--format", "json"],
+     "235a88816a76f726c6a0190cbef9f3a1b2d4cc56a420c30025a7593a4f1b8d1f"),
+])
+def test_audit_report_bytes_pinned(argv, digest, capsys):
+    # whole reports, witnesses included; both contain mismatches, so exit 1
+    assert run(argv) == 1
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_cli_determinism(capsys):

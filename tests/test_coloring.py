@@ -101,6 +101,8 @@ def test_validate_vertex_coloring():
     assert not validate_vertex_coloring(c4, VertexColoring((0, 2, 0, 2), 3))
     # num_colors must match the used set
     assert not validate_vertex_coloring(c4, VertexColoring((0, 1, 0, 1), 3))
+    # bool is not a color index
+    assert not validate_vertex_coloring(families.complete(2), VertexColoring((False, True), 2))
 
 
 def test_validate_edge_coloring():
@@ -112,6 +114,7 @@ def test_validate_edge_coloring():
     assert validate_edge_coloring(k4, edge_color_complete(4))
     # wrong edge set
     assert not validate_edge_coloring(p3, EdgeColoring({(0, 1): 0}, 1))
+    assert not validate_edge_coloring(p3, EdgeColoring({(0, 1): False, (1, 2): True}, 2))
 
 
 def test_witnesses_validate_and_use_stated_colors():
@@ -149,6 +152,8 @@ def test_budget_exceeded():
         chromatic_index(g, budget=3)
     with pytest.raises(DomainError):
         SearchBudget(0)
+    with pytest.raises(DomainError):
+        SearchBudget(True)
     # a shared budget accumulates across calls
     bud = SearchBudget(10_000)
     chromatic_number(families.cycle(5), bud)

@@ -103,10 +103,10 @@ def test_max_degree():
 
 def test_bipartition_examples():
     sides = bipartition(families.complete_bipartite(2, 3))
-    assert sorted(sides.sizes) == [2, 3]
+    assert sorted((sides.count(0), sides.count(1))) == [2, 3]
     assert bipartition(families.cycle(5)) is None
-    p4 = bipartition(families.path(4))
-    assert p4.x_vertices == (0, 2) and p4.y_vertices == (1, 3)
+    assert bipartition(families.path(4)) == (0, 1, 0, 1)
+    assert bipartition(Graph(0)) == ()
 
 
 def _bipartite_by_side_enumeration(g):
@@ -117,19 +117,34 @@ def _bipartite_by_side_enumeration(g):
     return False
 
 
-def _is_valid_bipartition(g, sides):
-    return all(sides.side_of[u] != sides.side_of[v] for u, v in g.edges)
+def _component_starts(g):
+    # independent of the search: union-find over the edge list
+    parent = list(range(g.order))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in g.edges:
+        low, high = sorted((find(u), find(v)))
+        parent[high] = low  # so each root is its component's lowest vertex
+    return {find(v) for v in range(g.order)}
+
+
+def _check_bipartition(g, sides):
+    assert (sides is not None) == _bipartite_by_side_enumeration(g)
+    if sides is not None:
+        assert len(sides) == g.order and all(sides[u] != sides[v] for u, v in g.edges)
+        # the lowest-index vertex of every component lands on side 0; with
+        # validity this fixes the whole tuple
+        assert all(sides[v] == 0 for v in _component_starts(g))
 
 
 def test_bipartition_matches_enumeration_exhaustive_leq6():
     for n in range(1, 7):
         for g in all_labeled_graphs(n):
-            sides = bipartition(g)
-            assert (sides is not None) == _bipartite_by_side_enumeration(g)
-            if sides is not None:
-                assert _is_valid_bipartition(g, sides)
-                # lowest-index vertex of each component lands in X
-                assert sides.side_of[0] == 0
+            _check_bipartition(g, bipartition(g))
 
 
 def test_bipartition_matches_enumeration_sampled_order7():
@@ -137,10 +152,7 @@ def test_bipartition_matches_enumeration_sampled_order7():
     top = 1 << len(vertex_pairs(7))
     for _ in range(20000):
         g = graph_from_mask(7, rng.randrange(top))
-        sides = bipartition(g)
-        assert (sides is not None) == _bipartite_by_side_enumeration(g)
-        if sides is not None:
-            assert _is_valid_bipartition(g, sides)
+        _check_bipartition(g, bipartition(g))
 
 
 def test_edge_list_round_trip():
