@@ -20,9 +20,10 @@ are tried in this order:
    Δ+1 is exact (Misra-Gries witness).
 
 Certified answers spend no search nodes and build no line graph.
-Otherwise one search for a Δ-coloring of the line graph runs, mapped
-back through the edge correspondence; when that search is exhausted,
-Δ+1 is exact (Misra-Gries witness).
+Otherwise one search for a Δ-coloring runs on line-graph adjacency read
+straight from G's incidence lists, with no line graph built, and its
+witness maps back through G's edge order; when that search is
+exhausted, Δ+1 is exact (Misra-Gries witness).
 
 Searches are bounded by a node budget and raise
 :class:`BudgetExceededError` rather than running unbounded.
@@ -30,12 +31,13 @@ Searches are bounded by a node budget and raise
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .constructions import EdgeColoring, _konig_insertion, edge_color_misra_gries
 from .errors import BudgetExceededError, DomainError
 from .graphs import Graph, bipartition
-from .linegraph import line_graph
+from .linegraph import _incidence_lists
 
 #: Default node limit, sized so every instance in the test suite finishes
 #: with a wide margin while still cutting off runaway inputs.
@@ -115,12 +117,22 @@ def is_k_colorable(g: Graph, k: int,
     stack is explicit, so depth is bounded only by the node budget, and
     picks come from saturation classes kept as bitmasks over ranks.
     """
+    if type(k) is not int:  # bool is not a color count
+        raise DomainError(f"color count must be an integer, got {k!r}")
     if k < 0:
         raise DomainError(f"color count must be >= 0, got {k}")
-    bud = _as_budget(budget)
-    n, nbrs = g.order, g.neighbor_lists
-    # degrees from the lists, not g.degrees: a line graph searched here
-    # would otherwise build its adjacency masks for this sort alone
+    return _dsatur(g.neighbor_lists, k, _as_budget(budget))
+
+
+def _dsatur(nbrs: Sequence[Sequence[int]], k: int, bud: SearchBudget) -> VertexColoring | None:
+    """The search of :func:`is_k_colorable` on the graph whose vertex v is
+    adjacent to each vertex in ``nbrs[v]``.
+
+    Picks depend only on saturation and the degree-ranked order, and
+    colors and their undo only on neighbor sets, so the order within
+    each neighbor list changes no witness and no node count.
+    """
+    n = len(nbrs)
     deg = tuple(map(len, nbrs))
     vertex = sorted(range(n), key=deg.__getitem__, reverse=True)
     rank = sorted(range(n), key=vertex.__getitem__)
@@ -190,10 +202,11 @@ def chromatic_index(g: Graph,
 
     Three certificates first: König on bipartite input (Δ colors);
     Misra-Gries when Δ ≤ 2 (an odd cycle) or g is overfull (Δ+1 colors).
-    Otherwise one search for a Δ-coloring of the line graph, with
-    Misra-Gries as the Δ+1 witness when it is exhausted.  Certified
-    answers spend no nodes of the budget.  Requires at least one edge
-    (the chromatic index of an edgeless graph is undefined here).
+    Otherwise one search for a Δ-coloring of the line graph's adjacency,
+    read from g's incidence lists, with Misra-Gries as the Δ+1 witness
+    when it is exhausted.  Certified answers spend no nodes of the
+    budget.  Requires at least one edge (the chromatic index of an
+    edgeless graph is undefined here).
     """
     if not g.edges:
         raise DomainError("chromatic index requires a graph with at least one edge")
@@ -203,12 +216,19 @@ def chromatic_index(g: Graph,
     delta = max(g.degrees)
     if delta <= 2 or g.num_edges > delta * (g.order // 2):
         return edge_color_misra_gries(g)
-    lg = line_graph(g)
-    witness = is_k_colorable(lg.graph, delta, bud)
+    # L(g)'s neighbor lists straight from g: edge i = (a, b) meets every
+    # other edge at a or at b, and is listed once at each of them
+    incident = _incidence_lists(g)
+    nbrs = []
+    for i, (a, b) in enumerate(g.edges):
+        adj = incident[a] + incident[b]
+        adj.remove(i)
+        adj.remove(i)
+        nbrs.append(adj)
+    witness = _dsatur(nbrs, delta, bud)
     if witness is None:
         return edge_color_misra_gries(g)
-    color_of = {edge: witness.color_of[i] for i, edge in enumerate(lg.edge_of_vertex)}
-    return EdgeColoring(color_of, witness.num_colors)
+    return EdgeColoring(dict(zip(g.edges, witness.color_of)), witness.num_colors)
 
 
 def validate_vertex_coloring(g: Graph, c: VertexColoring) -> bool:

@@ -9,23 +9,28 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from .errors import DomainError
 from .graphs import Edge, Graph, bipartition
 
 
 def vertex_pairs(n: int) -> tuple[Edge, ...]:
+    if type(n) is not int or n < 0:
+        raise DomainError(f"graph order must be a non-negative integer, got {n!r}")
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
+    # a subsequence of the lexicographic pairs is canonical already
     pairs = vertex_pairs(n)
-    return Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+    return Graph._from_canonical(n, tuple([pairs[i] for i in range(len(pairs)) if mask >> i & 1]))
 
 
 def all_labeled_graphs(n: int) -> Iterator[Graph]:
     """Every labeled graph on n vertices, in ascending mask order."""
     pairs = vertex_pairs(n)
     for mask in range(1 << len(pairs)):
-        yield Graph(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+        yield Graph._from_canonical(n, tuple([pairs[i] for i in range(len(pairs))
+                                              if mask >> i & 1]))
 
 
 def is_connected(g: Graph) -> bool:

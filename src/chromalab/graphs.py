@@ -52,6 +52,20 @@ class Graph:
             raise DomainError(f"graph order must be a non-negative integer, got {self.order!r}")
         object.__setattr__(self, "edges", _canonical_edges(self.order, self.edges))
 
+    @classmethod
+    def _from_canonical(cls, order: int, edges: tuple[Edge, ...]) -> Graph:
+        """A graph whose edges are trusted to be canonical already; no checks.
+
+        Precondition: ``order`` is a non-negative int and ``edges`` is a
+        ``tuple`` of int pairs ``(u, v)`` with ``0 <= u < v < order``,
+        strictly increasing in lexicographic order.  Only builders that
+        guarantee this by construction may call it.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "order", order)
+        object.__setattr__(g, "edges", edges)
+        return g
+
     @property
     def num_edges(self) -> int:
         return len(self.edges)
@@ -86,10 +100,10 @@ class Graph:
 
 def complement(g: Graph) -> Graph:
     """Graph on the same vertices whose edges are exactly the non-edges of g."""
-    masks = g.adjacency_masks
-    edges = [(u, v) for u in range(g.order) for v in range(u + 1, g.order)
-             if not masks[u] >> v & 1]
-    return Graph(g.order, edges)
+    masks, n = g.adjacency_masks, g.order
+    # pairs come out in lexicographic order, so they are canonical already
+    return Graph._from_canonical(n, tuple([(u, v) for u in range(n) for v in range(u + 1, n)
+                                           if not masks[u] >> v & 1]))
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -194,7 +208,9 @@ def parse_edge_list(text: str) -> Graph:
     if len(edges) != expected:
         raise EdgeListFormatError(last_line or 1,
                                   f"header promises {expected} edges, input ends after {len(edges)}")
-    return Graph(order, edges)
+    # every edge was checked above, so only the order is left to fix
+    edges.sort()
+    return Graph._from_canonical(order, tuple(edges))
 
 
 def format_edge_list(g: Graph) -> str:

@@ -25,6 +25,8 @@ from chromalab.graphs import Graph, bipartition, disjoint_union, max_degree
 SEARCH_WITNESS_DIGEST = "f0798b1eed6f953ffd55b9e7d4379977373811177925932da3e6b75c6d2d987d"
 #: Digest of ``_chromatic_number_digest``: DSATUR witnesses and node counts.
 CHROMATIC_NUMBER_DIGEST = "57722e5ddce0fe7613628bba19aff018f4784493de8c77a9f32d1f84b729561a"
+#: Digest of ``_large_search_digest``: Δ-search witnesses and node counts.
+LARGE_SEARCH_DIGEST = "b2c8ed72f733d70be92bfa61e28ae42e05b1aec7d1a50008759fd9d07e1334c5"
 
 
 def odd_prism(n: int = 333) -> Graph:
@@ -59,6 +61,9 @@ def test_is_k_colorable_zero_colors():
     assert is_k_colorable(Graph(3), 0) is None
     with pytest.raises(DomainError):
         is_k_colorable(Graph(3), -1)
+    for k in (1.5, 2.0, True):  # bool is not a color count
+        with pytest.raises(DomainError, match="color count"):
+            is_k_colorable(Graph(3), k)
 
 
 def test_is_k_colorable_huge_k():
@@ -231,6 +236,33 @@ def _search_witness_digest() -> tuple[str, int]:
 
 def test_search_witnesses_byte_stable():
     assert _search_witness_digest() == (SEARCH_WITNESS_DIGEST, 603)
+
+
+def _large_search_digest() -> tuple[str, int, int]:
+    """SHA-256 over chromatic_index's (assignment, nodes) on one seeded
+    G(n, 1/2) for each 12 <= n <= 30, every one of which reaches the Δ-search.
+
+    Pins the search on line graphs of up to 223 vertices, where the order
+    of each neighbor list would show if it changed a pick or an undo.
+    Returns the digest, the graph count and the total nodes.
+    """
+    rng = random.Random(4)
+    h = hashlib.sha256()
+    count = total = 0
+    for n in range(12, 31):
+        g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5])
+        assert bipartition(g) is None and g.num_edges <= max_degree(g) * (n // 2)
+        bud = SearchBudget()
+        w = chromatic_index(g, bud)
+        h.update(repr((w.assignment(), bud.nodes)).encode())
+        count += 1
+        total += bud.nodes
+    return h.hexdigest(), count, total
+
+
+def test_large_search_witnesses_and_nodes_byte_stable():
+    # 2139 nodes over 2137 edges: one search backtracks
+    assert _large_search_digest() == (LARGE_SEARCH_DIGEST, 19, 2139)
 
 
 def _chromatic_number_digest() -> tuple[str, int]:

@@ -7,6 +7,14 @@ from chromalab.enumeration import all_labeled_graphs, graph_from_mask, vertex_pa
 from chromalab.errors import DomainError, EdgeListFormatError
 from chromalab.graphs import (Graph, bipartition, complement, disjoint_union,
                               format_edge_list, join, max_degree, parse_edge_list)
+from chromalab.linegraph import line_graph
+
+
+def assert_validated_form(h: Graph) -> None:
+    """h, built without edge validation, equals the graph validation gives."""
+    checked = Graph(h.order, h.edges)
+    assert h == checked and hash(h) == hash(checked)
+    assert type(h.edges) is tuple
 
 
 def test_graph_canonicalization():
@@ -34,6 +42,11 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(True, 2)])
     with pytest.raises(DomainError, match="non-integer endpoints"):
         Graph(3, [(1, False)])
+    # the enumerators build graphs without validation, so they check the order
+    with pytest.raises(DomainError, match="graph order"):
+        graph_from_mask(-1, 0)
+    with pytest.raises(DomainError, match="graph order"):
+        next(all_labeled_graphs(True))
 
 
 def test_neighbor_lists_ascending():
@@ -67,6 +80,17 @@ def test_complement_involution_and_edge_count_exhaustive():
             co = complement(g)
             assert complement(co) == g
             assert g.num_edges + co.num_edges == total
+
+
+def test_trusted_graphs_equal_validated_form_exhaustive_leq6():
+    for n in range(0, 7):
+        for mask, g in enumerate(all_labeled_graphs(n)):
+            # the edge list again, last edge first and each pair reversed
+            backwards = f"{n} {g.num_edges}\n" + "".join(f"{v} {u}\n" for u, v in g.edges[::-1])
+            for h in (g, graph_from_mask(n, mask), complement(g), line_graph(g).graph,
+                      parse_edge_list(format_edge_list(g)), parse_edge_list(backwards)):
+                assert_validated_form(h)
+            assert graph_from_mask(n, mask) == parse_edge_list(backwards) == g
 
 
 def test_join_wheel_and_fan_counts():

@@ -2,11 +2,12 @@ import random
 from math import comb
 
 from oracles import brute_force_line_graph
+from test_graphs import assert_validated_form
 
 from chromalab import families
 from chromalab.coloring import chromatic_number
 from chromalab.enumeration import all_labeled_graphs, is_connected
-from chromalab.graphs import Graph, max_degree
+from chromalab.graphs import Graph, complement, format_edge_list, max_degree, parse_edge_list
 from chromalab.linegraph import line_graph
 
 
@@ -79,3 +80,5 @@ def test_line_graph_matches_pairwise_definition():
         lg = line_graph(g)
         assert lg.graph == brute_force_line_graph(g)
         assert lg.edge_of_vertex == g.edges
+        for h in (lg.graph, complement(g), parse_edge_list(format_edge_list(g))):
+            assert_validated_form(h)
