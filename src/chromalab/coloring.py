@@ -4,10 +4,13 @@ The vertex solver is a backtracking search in dynamic DSATUR order
 (maximum saturation, ties by maximum degree, then lowest index), trying
 colors in ascending order with symmetry breaking: a vertex may use at
 most one color index beyond the maximum used so far.  Its stack is
-explicit, so depth is bounded only by the node budget, and uncolored
-vertices sit in saturation classes kept as bitmasks over ranks (degree
-descending, then index).  All tie-breaking is fixed, so returned
-witnesses are byte-stable across runs.
+explicit, so depth is bounded only by the node budget.  It runs on
+bitmasks ordered by rank (degree descending, then index): each color
+has a blocked-color mask of the uncolored vertices with a neighbor of
+that color, and saturation is a binary counter sliced into one mask per
+bit, so coloring a vertex costs a few whole-mask operations, not a loop
+over its neighbors.  All tie-breaking is fixed, so returned witnesses
+are byte-stable across runs.
 
 The chromatic index is certified before it is searched.  Vizing's
 theorem puts it at the maximum degree Δ or at Δ+1, so the certificates
@@ -115,7 +118,8 @@ def is_k_colorable(g: Graph, k: int,
     The witness may use fewer than k colors; its color indices are
     contiguous and all used.  Absence is a value, not an error.  The
     stack is explicit, so depth is bounded only by the node budget, and
-    picks come from saturation classes kept as bitmasks over ranks.
+    picks and colors run on blocked-color masks and bit-sliced saturation
+    counters over ranks.
     """
     if type(k) is not int:  # bool is not a color count
         raise DomainError(f"color count must be an integer, got {k!r}")
@@ -128,57 +132,75 @@ def _dsatur(nbrs: Sequence[Sequence[int]], k: int, bud: SearchBudget) -> VertexC
     """The search of :func:`is_k_colorable` on the graph whose vertex v is
     adjacent to each vertex in ``nbrs[v]``.
 
-    Picks depend only on saturation and the degree-ranked order, and
-    colors and their undo only on neighbor sets, so the order within
-    each neighbor list changes no witness and no node count.
+    One bit per vertex, rank 0 (degree descending, then index) on top, so
+    a pick takes a mask's highest bit.  ``blocked[c]`` holds the uncolored
+    vertices with a neighbor colored c, and bit i of a vertex's saturation
+    is its bit in ``sat[i]``.  A color blocks only the vertices it newly
+    blocks and its undo unblocks exactly those, so the order within each
+    neighbor list changes no witness and no node count.  A colored vertex
+    keeps its marks, unread until its undo.  Masks stay non-negative:
+    CPython's bitwise operations copy and complement negative ints, which
+    is several times slower on long masks.
     """
     n = len(nbrs)
-    deg = tuple(map(len, nbrs))
-    vertex = sorted(range(n), key=deg.__getitem__, reverse=True)
-    rank = sorted(range(n), key=vertex.__getitem__)
-    color_of = [-1] * n
-    neigh_colors = [0] * n  # bitmask of colors already on colored neighbors
-    by_sat = [(1 << n) - 1] + [0] * min(k, n - 1)  # ranks of uncolored, by saturation
-    stack, used = [], 0  # frames (vertex, color, used-before, touched)
-    while len(stack) < n:
-        s = used  # saturation counts colors in use, and used <= min(k, n - 1)
-        while not by_sat[s]:
-            s -= 1
-        low = by_sat[s] & -by_sat[s]
-        by_sat[s] ^= low
-        v, c = vertex[low.bit_length() - 1], 0
+    # degree ascending, ties by index descending: bit p holds rank n - 1 - p
+    vertex = sorted(reversed(range(n)), key=lambda v: len(nbrs[v]))
+    bit = [0] * n
+    for p, v in enumerate(vertex):
+        bit[v] = 1 << p
+    adj = []  # adjacency masks by bit
+    for v in vertex:
+        mask = 0
+        for u in nbrs[v]:
+            mask |= bit[u]
+        adj.append(mask)
+    blocked = [0] * min(k, n)  # only colors below n can be used
+    sat = [0] * min(k, n - 1).bit_length()  # saturation <= min(k, degree)
+    free = (1 << n) - 1  # uncolored vertices
+    stack, used = [], 0  # frames (bit position, color, used-before, newly blocked)
+    while free:
+        pick = free
+        for level in reversed(sat):  # keep the highest saturation
+            higher = pick & level
+            if higher:
+                pick = higher
+        p, c = pick.bit_length() - 1, 0
+        low = 1 << p
         while True:
-            forbidden = neigh_colors[v]
             top = used if used < k else k - 1  # symmetry breaking: at most one fresh color
-            while c <= top and forbidden >> c & 1:
+            while c <= top and blocked[c] & low:
                 c += 1
             if c <= top:
                 break
-            # v has no color left: return it to its class, undo its parent
-            by_sat[forbidden.bit_count()] |= 1 << rank[v]
+            # p has no color left: undo its parent, which tries its next color
             if not stack:
                 return None
-            v, c, used, touched = stack.pop()
-            color_of[v] = -1
-            for u in touched:
-                neigh_colors[u] ^= 1 << c
-                s, r = neigh_colors[u].bit_count(), 1 << rank[u]
-                by_sat[s + 1] ^= r
-                by_sat[s] |= r
+            p, c, used, newly = stack.pop()
+            low = 1 << p
+            free |= low
+            blocked[c] ^= newly
+            for i, level in enumerate(sat):  # subtract one; borrow where the bit was 0
+                sat[i] = level = level ^ newly
+                newly &= level
+                if not newly:
+                    break
             c += 1
         bud.spend()
-        color_of[v] = c
-        bit = 1 << c
-        touched = []
-        for u in nbrs[v]:
-            if color_of[u] < 0 and not neigh_colors[u] & bit:
-                s, r = neigh_colors[u].bit_count(), 1 << rank[u]
-                by_sat[s] ^= r
-                by_sat[s + 1] |= r
-                neigh_colors[u] |= bit
-                touched.append(u)
-        stack.append((v, c, used, touched))
-        used = max(used, c + 1)
+        free ^= low
+        newly = adj[p] & free
+        newly ^= newly & blocked[c]
+        blocked[c] |= newly
+        stack.append((p, c, used, newly))
+        for i, level in enumerate(sat):  # add one; carry where the bit was 1
+            sat[i] = level ^ newly
+            newly &= level
+            if not newly:
+                break
+        if c == used:
+            used += 1
+    color_of = [0] * n
+    for p, c, _, _ in stack:
+        color_of[vertex[p]] = c
     return VertexColoring(tuple(color_of), used)
 
 
@@ -233,6 +255,8 @@ def chromatic_index(g: Graph,
 
 def validate_vertex_coloring(g: Graph, c: VertexColoring) -> bool:
     """True iff c is proper on g and its color indices are contiguous and all used."""
+    if type(c.num_colors) is not int:  # bool is not a color count
+        return False
     colors = c.color_of
     if len(colors) != g.order:
         return False
@@ -249,6 +273,8 @@ def validate_vertex_coloring(g: Graph, c: VertexColoring) -> bool:
 
 def validate_edge_coloring(g: Graph, c: EdgeColoring) -> bool:
     """True iff c colors exactly g's edges, properly at shared endpoints, contiguously."""
+    if type(c.num_colors) is not int:  # bool is not a color count
+        return False
     if set(c.color_of) != set(g.edges):
         return False
     used = set(c.color_of.values())

@@ -27,6 +27,8 @@ SEARCH_WITNESS_DIGEST = "f0798b1eed6f953ffd55b9e7d4379977373811177925932da3e6b75
 CHROMATIC_NUMBER_DIGEST = "57722e5ddce0fe7613628bba19aff018f4784493de8c77a9f32d1f84b729561a"
 #: Digest of ``_large_search_digest``: Δ-search witnesses and node counts.
 LARGE_SEARCH_DIGEST = "b2c8ed72f733d70be92bfa61e28ae42e05b1aec7d1a50008759fd9d07e1334c5"
+#: Digest of ``_chromatic_number_large_digest``: χ witnesses and node counts.
+CHROMATIC_NUMBER_LARGE_DIGEST = "b58ed3e9d748e1a675bafa70e5720845f907a20fa178d6e08a18b7742a8532c3"
 
 
 def odd_prism(n: int = 333) -> Graph:
@@ -35,6 +37,24 @@ def odd_prism(n: int = 333) -> Graph:
     edges += [(n + i, n + (i + 1) % n) for i in range(n)]
     edges += [(i, n + i) for i in range(n)]
     return Graph(2 * n, edges)
+
+
+def mycielski(k: int) -> Graph:
+    """Mycielski graph M_k (M_2 = K_2): triangle-free, with χ = k."""
+    n, edges = 2, [(0, 1)]
+    for _ in range(k - 2):
+        edges += ([(u, n + v) for u, v in edges] + [(v, n + u) for u, v in edges]
+                  + [(n + i, 2 * n) for i in range(n)])
+        n = 2 * n + 1
+    return Graph(n, edges)
+
+
+def queen(k: int) -> Graph:
+    """The k×k queen graph: cells joined when they share a row, column or diagonal."""
+    cells = [divmod(a, k) for a in range(k * k)]
+    return Graph(k * k, [(a, b) for a in range(k * k) for b in range(a + 1, k * k)
+                         if cells[a][0] == cells[b][0] or cells[a][1] == cells[b][1]
+                         or abs(cells[a][0] - cells[b][0]) == abs(cells[a][1] - cells[b][1])])
 
 
 def test_clique_lower_bound_examples():
@@ -108,6 +128,9 @@ def test_validate_vertex_coloring():
     assert not validate_vertex_coloring(c4, VertexColoring((0, 1, 0, 1), 3))
     # bool is not a color index
     assert not validate_vertex_coloring(families.complete(2), VertexColoring((False, True), 2))
+    # bool is not a color count
+    assert not validate_vertex_coloring(Graph(1), VertexColoring((0,), True))
+    assert not validate_vertex_coloring(Graph(0), VertexColoring((), False))
 
 
 def test_validate_edge_coloring():
@@ -120,6 +143,7 @@ def test_validate_edge_coloring():
     # wrong edge set
     assert not validate_edge_coloring(p3, EdgeColoring({(0, 1): 0}, 1))
     assert not validate_edge_coloring(p3, EdgeColoring({(0, 1): False, (1, 2): True}, 2))
+    assert not validate_edge_coloring(families.path(2), EdgeColoring({(0, 1): 0}, True))
 
 
 def test_witnesses_validate_and_use_stated_colors():
@@ -289,6 +313,43 @@ def _chromatic_number_digest() -> tuple[str, int]:
 
 def test_chromatic_number_witnesses_and_nodes_byte_stable():
     assert _chromatic_number_digest() == (CHROMATIC_NUMBER_DIGEST, 1099)
+
+
+def _chromatic_number_large_digest() -> tuple[str, int, int]:
+    """SHA-256 over chromatic_number's (color_of, nodes) and the nodes of the
+    exhausted search at χ − 1, on two seeded G(n, 1/2) for each 12 <= n <= 40.
+
+    These reach χ = 9, so the refutations at χ − 1 carry saturation counts
+    up to 8, across four counter slices.  Returns the digest, the graph
+    count and the total nodes.
+    """
+    rng = random.Random(2)
+    h = hashlib.sha256()
+    count = total = 0
+    for n in range(12, 41):
+        for _ in range(2):
+            g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                          if rng.random() < 0.5])
+            bud = SearchBudget()
+            w = chromatic_number(g, bud)
+            spent = bud.nodes
+            bud = SearchBudget()
+            assert is_k_colorable(g, w.num_colors - 1, bud) is None
+            h.update(repr((w.color_of, spent, bud.nodes)).encode())
+            count += 1
+            total += spent + bud.nodes
+    return h.hexdigest(), count, total
+
+
+def test_chromatic_number_large_witnesses_and_nodes_byte_stable():
+    assert _chromatic_number_large_digest() == (CHROMATIC_NUMBER_LARGE_DIGEST, 58, 8040)
+
+
+def test_refutation_node_counts():
+    for g, k, nodes in ((mycielski(5), 4, 895), (queen(6), 6, 330)):
+        bud = SearchBudget()
+        assert is_k_colorable(g, k, bud) is None
+        assert bud.nodes == nodes
 
 
 def test_deep_searches_need_no_recursion():

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import brute_force_chromatic_index, brute_force_chromatic_number
 
-from chromalab.coloring import (chromatic_index, chromatic_number,
+from chromalab.coloring import (chromatic_index, chromatic_number, is_k_colorable,
                                 validate_edge_coloring, validate_vertex_coloring)
 from chromalab.graphs import Graph, disjoint_union, join
 
@@ -36,6 +36,20 @@ def test_chromatic_number_matches_oracle(g):
     w = chromatic_number(g)
     assert validate_vertex_coloring(g, w)
     assert w.num_colors == brute_force_chromatic_number(g)
+
+
+@FIXED
+@given(graphs())
+def test_is_k_colorable_at_every_k(g):
+    # None exactly below χ; at and above it, a valid witness within k colors
+    chi = brute_force_chromatic_number(g)
+    for k in range(g.order + 2):
+        w = is_k_colorable(g, k)
+        if k < chi:
+            assert w is None
+        else:
+            assert w is not None and validate_vertex_coloring(g, w)
+            assert w.num_colors <= k
 
 
 @FIXED
