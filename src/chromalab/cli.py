@@ -105,7 +105,9 @@ def cmd_edge_color(args) -> int:
     else:
         family = families.FAMILY_TABLE[method]
         n = family.param_of_order(g.order)
-        if n < family.mins[0] or g != families.make(method, n):
+        # compare edge counts before building, so the build costs no more than reading g
+        if (n < family.mins[0] or g.num_edges != family.size_of_param(n)
+                or g != families.make(method, n)):
             raise DomainError(f"method {method!r} requires the canonical {method} graph "
                               f"in its documented labeling")
         w = getattr(constructions, "edge_color_" + method)(n)

@@ -23,8 +23,8 @@ are tried in this order:
    Δ+1 is exact (Misra-Gries witness).
 
 Certified answers spend no search nodes and build no line graph.
-Otherwise one search for a Δ-coloring runs on line-graph adjacency read
-straight from G's incidence lists, with no line graph built, and its
+Otherwise one search for a Δ-coloring runs on the line graph's degrees
+and edge pairs, read straight from G with no line graph built, and its
 witness maps back through G's edge order; when that search is
 exhausted, Δ+1 is exact (Misra-Gries witness).
 
@@ -34,13 +34,13 @@ Searches are bounded by a node budget and raise
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .constructions import EdgeColoring, _konig_insertion, edge_color_misra_gries
 from .errors import BudgetExceededError, DomainError
 from .graphs import Graph, bipartition
-from .linegraph import _incidence_lists
+from .linegraph import _line_pairs
 
 #: Default node limit, sized so every instance in the test suite finishes
 #: with a wide margin while still cutting off runaway inputs.
@@ -125,35 +125,36 @@ def is_k_colorable(g: Graph, k: int,
         raise DomainError(f"color count must be an integer, got {k!r}")
     if k < 0:
         raise DomainError(f"color count must be >= 0, got {k}")
-    return _dsatur(g.neighbor_lists, k, _as_budget(budget))
+    return _dsatur(g.degrees, g.edges, k, _as_budget(budget))
 
 
-def _dsatur(nbrs: Sequence[Sequence[int]], k: int, bud: SearchBudget) -> VertexColoring | None:
-    """The search of :func:`is_k_colorable` on the graph whose vertex v is
-    adjacent to each vertex in ``nbrs[v]``.
+def _dsatur(degree: Sequence[int], pairs: Iterable[tuple[int, int]], k: int,
+            bud: SearchBudget) -> VertexColoring | None:
+    """The search of :func:`is_k_colorable` on the graph whose vertex v has
+    degree ``degree[v]`` and whose edges are ``pairs``.
 
     One bit per vertex, rank 0 (degree descending, then index) on top, so
     a pick takes a mask's highest bit.  ``blocked[c]`` holds the uncolored
     vertices with a neighbor colored c, and bit i of a vertex's saturation
     is its bit in ``sat[i]``.  A color blocks only the vertices it newly
-    blocks and its undo unblocks exactly those, so the order within each
-    neighbor list changes no witness and no node count.  A colored vertex
+    blocks and its undo unblocks exactly those, and the adjacency masks
+    are unions over the pairs, so neither the order of the pairs nor the
+    order within one changes a witness or a node count.  A colored vertex
     keeps its marks, unread until its undo.  Masks stay non-negative:
     CPython's bitwise operations copy and complement negative ints, which
     is several times slower on long masks.
     """
-    n = len(nbrs)
+    n = len(degree)
     # degree ascending, ties by index descending: bit p holds rank n - 1 - p
-    vertex = sorted(reversed(range(n)), key=lambda v: len(nbrs[v]))
+    vertex = sorted(reversed(range(n)), key=degree.__getitem__)
     bit = [0] * n
     for p, v in enumerate(vertex):
         bit[v] = 1 << p
-    adj = []  # adjacency masks by bit
-    for v in vertex:
-        mask = 0
-        for u in nbrs[v]:
-            mask |= bit[u]
-        adj.append(mask)
+    mask = [0] * n
+    for u, v in pairs:
+        mask[u] |= bit[v]
+        mask[v] |= bit[u]
+    adj = [mask[v] for v in vertex]  # adjacency masks by bit
     blocked = [0] * min(k, n)  # only colors below n can be used
     sat = [0] * min(k, n - 1).bit_length()  # saturation <= min(k, degree)
     free = (1 << n) - 1  # uncolored vertices
@@ -224,9 +225,10 @@ def chromatic_index(g: Graph,
 
     Three certificates first: König on bipartite input (Δ colors);
     Misra-Gries when Δ ≤ 2 (an odd cycle) or g is overfull (Δ+1 colors).
-    Otherwise one search for a Δ-coloring of the line graph's adjacency,
-    read from g's incidence lists, with Misra-Gries as the Δ+1 witness
-    when it is exhausted.  Certified answers spend no nodes of the
+    Otherwise one search for a Δ-coloring of the line graph, fed its
+    degrees deg(a) + deg(b) − 2 and its pairs from
+    :func:`~chromalab.linegraph._line_pairs`, with Misra-Gries as the Δ+1
+    witness when it is exhausted.  Certified answers spend no nodes of the
     budget.  Requires at least one edge (the chromatic index of an
     edgeless graph is undefined here).
     """
@@ -235,19 +237,12 @@ def chromatic_index(g: Graph,
     bud = _as_budget(budget)
     if bipartition(g) is not None:
         return _konig_insertion(g)
-    delta = max(g.degrees)
+    deg = g.degrees
+    delta = max(deg)
     if delta <= 2 or g.num_edges > delta * (g.order // 2):
         return edge_color_misra_gries(g)
-    # L(g)'s neighbor lists straight from g: edge i = (a, b) meets every
-    # other edge at a or at b, and is listed once at each of them
-    incident = _incidence_lists(g)
-    nbrs = []
-    for i, (a, b) in enumerate(g.edges):
-        adj = incident[a] + incident[b]
-        adj.remove(i)
-        adj.remove(i)
-        nbrs.append(adj)
-    witness = _dsatur(nbrs, delta, bud)
+    # L(g)'s vertex (a, b) meets the other edges at a and at b
+    witness = _dsatur([deg[a] + deg[b] - 2 for a, b in g.edges], _line_pairs(g), delta, bud)
     if witness is None:
         return edge_color_misra_gries(g)
     return EdgeColoring(dict(zip(g.edges, witness.color_of)), witness.num_colors)

@@ -33,13 +33,15 @@ class Family:
     ``param_of_order`` (families with a constructive edge coloring only)
     maps a graph order to the only parameter whose graph can have that
     order; the result may be below the minimum, or name a graph of another
-    order, when the family has no graph of that order.
+    order, when the family has no graph of that order.  ``size_of_param``
+    (the same families) gives the edge count of the graph of a parameter.
     """
 
     params: tuple[str, ...]
     mins: tuple[int, ...]
     generator: Callable[..., Graph]
     param_of_order: Callable[[int], int] | None = None
+    size_of_param: Callable[[int], int] | None = None
 
 
 @dataclass(frozen=True)
@@ -113,15 +115,15 @@ def fan(n: int) -> Graph:
 
 
 FAMILY_TABLE: dict[str, Family] = {
-    "complete": Family(("n",), (1,), complete, lambda order: order),
+    "complete": Family(("n",), (1,), complete, lambda order: order, lambda n: n * (n - 1) // 2),
     "complete_bipartite": Family(("m", "n"), (1, 1), complete_bipartite),
     "star": Family(("n",), (1,), star),
     "bistar": Family(("m", "n"), (1, 1), bistar),
     "path": Family(("n",), (1,), path),
     "cycle": Family(("n",), (3,), cycle),
-    "wheel": Family(("n",), (4,), wheel, lambda order: order),
-    "helm": Family(("n",), (3,), helm, lambda order: (order - 1) // 2),
-    "fan": Family(("n",), (2,), fan, lambda order: order - 1),
+    "wheel": Family(("n",), (4,), wheel, lambda order: order, lambda n: 2 * n - 2),
+    "helm": Family(("n",), (3,), helm, lambda order: (order - 1) // 2, lambda n: 3 * n),
+    "fan": Family(("n",), (2,), fan, lambda order: order - 1, lambda n: 2 * n - 1),
 }
 
 FAMILIES = tuple(FAMILY_TABLE)

@@ -84,16 +84,6 @@ class Graph:
         return tuple(masks)
 
     @cached_property
-    def neighbor_lists(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.order)]
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        # canonical edge order: every (u, x) with u < x precedes every (x, v),
-        # so each list is already ascending
-        return tuple(map(tuple, nbrs))
-
-    @cached_property
     def degrees(self) -> tuple[int, ...]:
         return tuple(map(int.bit_count, self.adjacency_masks))
 

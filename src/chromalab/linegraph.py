@@ -7,8 +7,9 @@ line graph map back to edge colorings deterministically.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 from .graphs import Edge, Graph
 
@@ -19,27 +20,26 @@ class LineGraphResult:
     edge_of_vertex: tuple[Edge, ...]
 
 
-def _incidence_lists(g: Graph) -> list[list[int]]:
-    """For each vertex, the ascending indices into ``g.edges`` of its edges.
+def _line_pairs(g: Graph) -> Iterator[Edge]:
+    """L(g)'s edges ``(i, j)``, ``i < j``: edges i and j of ``g.edges`` meet.
 
-    Line-graph vertices i and j are adjacent iff edges i and j share an
-    endpoint, so these lists hold all of L(g)'s adjacency.
+    Each pair of edge indices incident at one vertex of g is one pair, so
+    the work is O(Σ deg²), not O(m²).  Two distinct edges share at most
+    one endpoint, so no pair comes twice.
     """
     incident: list[list[int]] = [[] for _ in range(g.order)]
     for i, (a, b) in enumerate(g.edges):
         incident[a].append(i)
         incident[b].append(i)
-    return incident
+    # chained C iterators, not a generator: no Python frame resumes per pair
+    return chain.from_iterable(combinations(ids, 2) for ids in incident)
 
 
 def line_graph(g: Graph) -> LineGraphResult:
     """Build L(g): one vertex per edge, adjacency = shared endpoint.
 
-    Each pair of edge indices incident at one vertex is one line-graph
-    edge, so the work is O(Σ deg²), not O(m²).  Two distinct edges share
-    at most one endpoint, so no pair is emitted twice, and each pair is
-    ``(i, j)`` with ``i < j``: once sorted, the edges are canonical and
+    The edges are :func:`_line_pairs` sorted, so they are canonical and
     need no validation.  An edgeless source yields the order-0 line graph.
     """
-    lg_edges = sorted(pair for ids in _incidence_lists(g) for pair in combinations(ids, 2))
-    return LineGraphResult(Graph._from_canonical(g.num_edges, tuple(lg_edges)), g.edges)
+    lg_edges = tuple(sorted(_line_pairs(g)))
+    return LineGraphResult(Graph._from_canonical(g.num_edges, lg_edges), g.edges)

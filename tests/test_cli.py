@@ -122,6 +122,20 @@ def test_edge_color_complete_method_on_file(k5_file, capsys):
     assert capsys.readouterr().out == "5\n"
 
 
+def test_edge_color_family_method_rejects_by_edge_count(tmp_path, monkeypatch, capsys):
+    # a header-only file has the order of a family graph but none of its
+    # edges: it is rejected before K_1501 (or the wheel, helm or fan) is built
+    built = []
+    monkeypatch.setattr(families, "make", lambda *a: built.append(a))
+    p = tmp_path / "header.txt"
+    p.write_text("1501 0\n")
+    for method in ("complete", "wheel", "helm", "fan"):
+        assert run(["edge-color", str(p), "--method", method]) == 2
+        assert capsys.readouterr().err == (f"error: method {method!r} requires the canonical "
+                                           f"{method} graph in its documented labeling\n")
+    assert built == []
+
+
 def test_ng_check_golden(c5_file, capsys):
     assert run(["ng", "check", c5_file]) == 0
     assert capsys.readouterr().out == (

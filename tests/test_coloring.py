@@ -12,7 +12,7 @@ from test_constructions import PETERSEN
 
 import chromalab
 from chromalab import families
-from chromalab.coloring import (EdgeColoring, SearchBudget, VertexColoring,
+from chromalab.coloring import (EdgeColoring, SearchBudget, VertexColoring, _dsatur,
                                 chromatic_index, chromatic_number,
                                 greedy_clique_lower_bound, is_k_colorable,
                                 validate_edge_coloring, validate_vertex_coloring)
@@ -20,6 +20,7 @@ from chromalab.constructions import edge_color_complete
 from chromalab.enumeration import all_labeled_graphs, graph_from_mask, vertex_pairs
 from chromalab.errors import BudgetExceededError, DomainError
 from chromalab.graphs import Graph, bipartition, disjoint_union, max_degree
+from chromalab.linegraph import _line_pairs
 
 #: Digest of ``_search_witness_digest`` for the DSATUR witnesses of the Δ-search.
 SEARCH_WITNESS_DIGEST = "f0798b1eed6f953ffd55b9e7d4379977373811177925932da3e6b75c6d2d987d"
@@ -267,7 +268,7 @@ def _large_search_digest() -> tuple[str, int, int]:
     G(n, 1/2) for each 12 <= n <= 30, every one of which reaches the Δ-search.
 
     Pins the search on line graphs of up to 223 vertices, where the order
-    of each neighbor list would show if it changed a pick or an undo.
+    of the line-graph pairs would show if it changed a pick or an undo.
     Returns the digest, the graph count and the total nodes.
     """
     rng = random.Random(4)
@@ -350,6 +351,33 @@ def test_refutation_node_counts():
         bud = SearchBudget()
         assert is_k_colorable(g, k, bud) is None
         assert bud.nodes == nodes
+
+
+def _dsatur_run(degree, pairs, k):
+    bud = SearchBudget()
+    return _dsatur(degree, pairs, k, bud), bud.nodes
+
+
+def test_dsatur_ignores_pair_order():
+    """Shuffled pairs, some with swapped endpoints, give the same witness
+    and node count: on G(n, 1/2) at k = χ − 1 and k = χ, and on L(G)'s
+    pairs at k = Δ."""
+    rng = random.Random(13)
+    cases = []
+    for n in range(8, 17):
+        g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5])
+        chi, deg = chromatic_number(g).num_colors, g.degrees
+        cases += [(deg, g.edges, chi - 1), (deg, g.edges, chi),
+                  ([deg[a] + deg[b] - 2 for a, b in g.edges], tuple(_line_pairs(g)), max(deg))]
+    for degree, pairs, k in cases:
+        expected = _dsatur_run(degree, pairs, k)
+        for _ in range(3):
+            shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+            rng.shuffle(shuffled)
+            assert _dsatur_run(degree, shuffled, k) == expected
+    # both outcomes occur, so the check covers refutations and witnesses
+    outcomes = {_dsatur_run(degree, pairs, k)[0] is None for degree, pairs, k in cases}
+    assert outcomes == {True, False}
 
 
 def test_deep_searches_need_no_recursion():

@@ -1,7 +1,7 @@
 import pytest
 
 from chromalab.errors import DomainError
-from chromalab.families import (FAMILIES, FamilySpec, bistar, complete,
+from chromalab.families import (FAMILIES, FAMILY_TABLE, FamilySpec, bistar, complete,
                                 complete_bipartite, cycle, fan, generate, helm,
                                 make, path, star, wheel)
 from chromalab.graphs import Graph
@@ -31,6 +31,15 @@ def test_counts_match_closed_forms():
         assert path(n).num_edges == n - 1
     for n in range(3, 11):
         assert cycle(n).num_edges == n
+
+
+def test_order_and_size_name_the_edge_colorable_family_graph():
+    for name in ("complete", "wheel", "helm", "fan"):
+        family = FAMILY_TABLE[name]
+        for n in range(family.mins[0], family.mins[0] + 8):
+            g = make(name, n)
+            assert family.param_of_order(g.order) == n
+            assert family.size_of_param(n) == g.num_edges
 
 
 def test_star_equals_complete_bipartite_1n():

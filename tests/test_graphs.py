@@ -49,16 +49,6 @@ def test_graph_rejects_bad_edges():
         next(all_labeled_graphs(True))
 
 
-def test_neighbor_lists_ascending():
-    rng = random.Random(7)
-    for _ in range(200):
-        n = rng.randrange(0, 16)
-        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                      if rng.random() < rng.random()])
-        for v, ns in enumerate(g.neighbor_lists):
-            assert list(ns) == sorted({u for e in g.edges if v in e for u in e} - {v})
-
-
 def test_complement_complete_is_empty():
     assert complement(families.complete(4)) == Graph(4)
 

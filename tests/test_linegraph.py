@@ -8,7 +8,7 @@ from chromalab import families
 from chromalab.coloring import chromatic_number
 from chromalab.enumeration import all_labeled_graphs, is_connected
 from chromalab.graphs import Graph, complement, format_edge_list, max_degree, parse_edge_list
-from chromalab.linegraph import line_graph
+from chromalab.linegraph import _line_pairs, line_graph
 
 
 def test_star_line_graph_is_complete():
@@ -82,3 +82,21 @@ def test_line_graph_matches_pairwise_definition():
         assert lg.edge_of_vertex == g.edges
         for h in (lg.graph, complement(g), parse_edge_list(format_edge_list(g))):
             assert_validated_form(h)
+
+
+def test_line_pairs_are_the_line_graph_edges_once_each():
+    rng = random.Random(37)
+    for _ in range(150):
+        n = rng.randint(0, 14)
+        p = rng.choice((0.0, 0.3, 0.6, 0.9))
+        g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+        pairs = list(_line_pairs(g))
+        assert len(pairs) == len(set(pairs))
+        assert all(i < j for i, j in pairs)
+        assert sorted(pairs) == list(brute_force_line_graph(g).edges)
+        # L(G)'s vertex (a, b) has degree deg(a) + deg(b) - 2, which the Δ-search ranks by
+        lg_degree = [0] * g.num_edges
+        for i, j in pairs:
+            lg_degree[i] += 1
+            lg_degree[j] += 1
+        assert lg_degree == [g.degrees[a] + g.degrees[b] - 2 for a, b in g.edges]
