@@ -5,12 +5,13 @@ The vertex solver is a backtracking search in dynamic DSATUR order
 colors in ascending order with symmetry breaking: a vertex may use at
 most one color index beyond the maximum used so far.  Its stack is
 explicit, so depth is bounded only by the node budget.  It runs on
-bitmasks ordered by rank (degree descending, then index): each color
-has a blocked-color mask of the uncolored vertices with a neighbor of
-that color, and saturation is a binary counter sliced into one mask per
-bit, so coloring a vertex costs a few whole-mask operations, not a loop
-over its neighbors.  All tie-breaking is fixed, so returned witnesses
-are byte-stable across runs.
+bitmasks ordered by rank (degree descending, then index), built once
+per solve: each color has a blocked-color mask of the uncolored
+vertices with a neighbor of that color, and saturation is a binary
+counter sliced into one mask per bit, so coloring a vertex costs a few
+whole-mask operations.  The chromatic number is one search that climbs
+k from the greedy clique bound.  All tie-breaking is fixed, so returned
+witnesses are byte-stable across runs.
 
 The chromatic index is certified before it is searched.  Vizing's
 theorem puts it at the maximum degree Δ or at Δ+1, so the certificates
@@ -87,28 +88,10 @@ def greedy_clique_lower_bound(g: Graph) -> int:
     """Size of a greedily grown clique; a sound lower bound for chromatic_number.
 
     Seeded at the maximum-degree vertex, extended by the highest-degree
-    common neighbor, ties to the lowest index.  Returns 0 only for the
-    order-0 graph.
+    common neighbor, ties to the lowest index: on rank masks, the highest
+    bit left each time.  Returns 0 only for the order-0 graph.
     """
-    n = g.order
-    if n == 0:
-        return 0
-    deg = g.degrees
-    adj = g.adjacency_masks
-    start = max(range(n), key=lambda v: (deg[v], -v))
-    size = 1
-    common = adj[start]
-    while common:
-        best, best_deg = -1, -1
-        m = common
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            if deg[v] > best_deg:
-                best, best_deg = v, deg[v]
-        size += 1
-        common &= adj[best]
-    return size
+    return _clique(_ranked(g.degrees, g.edges)[1])
 
 
 def is_k_colorable(g: Graph, k: int,
@@ -116,34 +99,20 @@ def is_k_colorable(g: Graph, k: int,
     """Return a proper coloring of g with at most k colors, or None.
 
     The witness may use fewer than k colors; its color indices are
-    contiguous and all used.  Absence is a value, not an error.  The
-    stack is explicit, so depth is bounded only by the node budget, and
-    picks and colors run on blocked-color masks and bit-sliced saturation
-    counters over ranks.
+    contiguous and all used.  Absence is a value, not an error.
     """
     if type(k) is not int:  # bool is not a color count
         raise DomainError(f"color count must be an integer, got {k!r}")
     if k < 0:
         raise DomainError(f"color count must be >= 0, got {k}")
-    return _dsatur(g.degrees, g.edges, k, _as_budget(budget))
+    return _dsatur(*_ranked(g.degrees, g.edges), k, k, _as_budget(budget))
 
 
-def _dsatur(degree: Sequence[int], pairs: Iterable[tuple[int, int]], k: int,
-            bud: SearchBudget) -> VertexColoring | None:
-    """The search of :func:`is_k_colorable` on the graph whose vertex v has
-    degree ``degree[v]`` and whose edges are ``pairs``.
-
-    One bit per vertex, rank 0 (degree descending, then index) on top, so
-    a pick takes a mask's highest bit.  ``blocked[c]`` holds the uncolored
-    vertices with a neighbor colored c, and bit i of a vertex's saturation
-    is its bit in ``sat[i]``.  A color blocks only the vertices it newly
-    blocks and its undo unblocks exactly those, and the adjacency masks
-    are unions over the pairs, so neither the order of the pairs nor the
-    order within one changes a witness or a node count.  A colored vertex
-    keeps its marks, unread until its undo.  Masks stay non-negative:
-    CPython's bitwise operations copy and complement negative ints, which
-    is several times slower on long masks.
-    """
+def _ranked(degree: Sequence[int],
+            pairs: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """``vertex[p]``, the vertex on bit p, and ``adj[p]``, its adjacency mask
+    over the pairs (in any order), with rank 0 (degree descending, then
+    index) on the top bit."""
     n = len(degree)
     # degree ascending, ties by index descending: bit p holds rank n - 1 - p
     vertex = sorted(reversed(range(n)), key=degree.__getitem__)
@@ -154,8 +123,33 @@ def _dsatur(degree: Sequence[int], pairs: Iterable[tuple[int, int]], k: int,
     for u, v in pairs:
         mask[u] |= bit[v]
         mask[v] |= bit[u]
-    adj = [mask[v] for v in vertex]  # adjacency masks by bit
-    blocked = [0] * min(k, n)  # only colors below n can be used
+    return vertex, [mask[v] for v in vertex]
+
+
+def _clique(adj: Sequence[int]) -> int:
+    """Size of the clique grown from all bits by taking the highest bit left."""
+    size, common = 0, (1 << len(adj)) - 1
+    while common:
+        common &= adj[common.bit_length() - 1]
+        size += 1
+    return size
+
+
+def _dsatur(vertex: Sequence[int], adj: Sequence[int], k: int, last: int,
+            bud: SearchBudget) -> VertexColoring | None:
+    """The first coloring found with at most k, k + 1, ..., ``last`` colors
+    on :func:`_ranked`'s masks, or None.
+
+    A pick takes a mask's highest bit.  ``blocked[c]`` holds the uncolored
+    vertices with a neighbor colored c, and bit i of a vertex's saturation
+    is its bit in ``sat[i]``.  A color blocks only the vertices it newly
+    blocks and its undo unblocks exactly those, so an empty stack has
+    every mark undone and each k costs the nodes of a fresh search.
+    Masks stay non-negative: CPython's bitwise operations copy and
+    complement negative ints, which is several times slower on long masks.
+    """
+    n = len(vertex)
+    blocked = [0] * min(last, n)  # only colors below n can be used
     sat = [0] * min(k, n - 1).bit_length()  # saturation <= min(k, degree)
     free = (1 << n) - 1  # uncolored vertices
     stack, used = [], 0  # frames (bit position, color, used-before, newly blocked)
@@ -174,18 +168,23 @@ def _dsatur(degree: Sequence[int], pairs: Iterable[tuple[int, int]], k: int,
             if c <= top:
                 break
             # p has no color left: undo its parent, which tries its next color
-            if not stack:
+            if stack:
+                p, c, used, newly = stack.pop()
+                low = 1 << p
+                free |= low
+                blocked[c] ^= newly
+                for i, level in enumerate(sat):  # subtract one; borrow where the bit was 0
+                    sat[i] = level = level ^ newly
+                    newly &= level
+                    if not newly:
+                        break
+                c += 1
+            elif k < last:  # k is refuted and every mark undone: restart p at k + 1
+                k, c = k + 1, 0
+                if min(k, n - 1).bit_length() > len(sat):
+                    sat.append(0)
+            else:
                 return None
-            p, c, used, newly = stack.pop()
-            low = 1 << p
-            free |= low
-            blocked[c] ^= newly
-            for i, level in enumerate(sat):  # subtract one; borrow where the bit was 0
-                sat[i] = level = level ^ newly
-                newly &= level
-                if not newly:
-                    break
-            c += 1
         bud.spend()
         free ^= low
         newly = adj[p] & free
@@ -209,14 +208,12 @@ def chromatic_number(g: Graph,
                      budget: int | SearchBudget | None = None) -> VertexColoring:
     """Exact minimum vertex coloring; ``num_colors`` is the chromatic number.
 
-    Tries k upward from the greedy clique lower bound, under one budget.
-    The order-0 graph needs 0 colors and any edgeless nonempty graph needs 1.
+    One search climbs k from the greedy clique lower bound, under one
+    budget.  The order-0 graph needs 0 colors and any edgeless nonempty
+    graph needs 1.
     """
-    bud = _as_budget(budget)
-    k = greedy_clique_lower_bound(g)
-    while (witness := is_k_colorable(g, k, bud)) is None:
-        k += 1
-    return witness
+    vertex, adj = _ranked(g.degrees, g.edges)
+    return _dsatur(vertex, adj, _clique(adj), g.order, _as_budget(budget))
 
 
 def chromatic_index(g: Graph,
@@ -242,7 +239,8 @@ def chromatic_index(g: Graph,
     if delta <= 2 or g.num_edges > delta * (g.order // 2):
         return edge_color_misra_gries(g)
     # L(g)'s vertex (a, b) meets the other edges at a and at b
-    witness = _dsatur([deg[a] + deg[b] - 2 for a, b in g.edges], _line_pairs(g), delta, bud)
+    witness = _dsatur(*_ranked([deg[a] + deg[b] - 2 for a, b in g.edges], _line_pairs(g)),
+                      delta, delta, bud)
     if witness is None:
         return edge_color_misra_gries(g)
     return EdgeColoring(dict(zip(g.edges, witness.color_of)), witness.num_colors)

@@ -3,8 +3,9 @@
 These deliberately share nothing with the package's search code: the
 vertex oracle enumerates all k^n assignments with itertools.product, the
 edge oracle backtracks over edges in input order with no line graph,
-no saturation ordering, no clique bound and no symmetry breaking, and
-the line-graph oracle tests every pair of edges.
+no saturation ordering, no clique bound and no symmetry breaking, the
+line-graph oracle tests every pair of edges, and the clique oracle scans
+neighbor sets by vertex index, with no rank order.
 """
 
 from itertools import product
@@ -60,3 +61,22 @@ def brute_force_line_graph(g: Graph) -> Graph:
     m = len(edges)
     return Graph(m, [(i, j) for i in range(m) for j in range(i + 1, m)
                      if set(edges[i]) & set(edges[j])])
+
+
+def greedy_clique(g: Graph) -> int:
+    """The greedy clique by index scans: seed at a vertex of maximum degree,
+    then add the common neighbor of maximum degree, ties to the lowest
+    index each time, until no common neighbor is left."""
+    nbrs: list[set[int]] = [set() for _ in range(g.order)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    size, common = 0, set(range(g.order))
+    while common:
+        best = -1
+        for v in sorted(common):
+            if best < 0 or len(nbrs[v]) > len(nbrs[best]):
+                best = v
+        common &= nbrs[best]
+        size += 1
+    return size

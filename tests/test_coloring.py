@@ -7,12 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from oracles import brute_force_chromatic_index, brute_force_chromatic_number
+from oracles import brute_force_chromatic_index, brute_force_chromatic_number, greedy_clique
 from test_constructions import PETERSEN
 
 import chromalab
 from chromalab import families
-from chromalab.coloring import (EdgeColoring, SearchBudget, VertexColoring, _dsatur,
+from chromalab.coloring import (EdgeColoring, SearchBudget, VertexColoring, _dsatur, _ranked,
                                 chromatic_index, chromatic_number,
                                 greedy_clique_lower_bound, is_k_colorable,
                                 validate_edge_coloring, validate_vertex_coloring)
@@ -69,6 +69,20 @@ def test_clique_lower_bound_is_sound_exhaustive_leq5():
     for n in range(1, 6):
         for g in all_labeled_graphs(n):
             assert greedy_clique_lower_bound(g) <= chromatic_number(g).num_colors
+
+
+def test_clique_lower_bound_matches_index_scan():
+    """The clique grown on rank masks is the oracle's index-space greedy
+    clique: same seed, same tie-break, on every labeled graph of order <= 5
+    and on seeded G(n, p) up to n = 60."""
+    for n in range(6):
+        for g in all_labeled_graphs(n):
+            assert greedy_clique_lower_bound(g) == greedy_clique(g)
+    rng = random.Random(29)
+    for n in range(1, 61):
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+            g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+            assert greedy_clique_lower_bound(g) == greedy_clique(g)
 
 
 def test_is_k_colorable_cycle5():
@@ -353,9 +367,31 @@ def test_refutation_node_counts():
         assert bud.nodes == nodes
 
 
+def test_chromatic_number_climbs_k_like_fresh_searches():
+    """One search climbing k from the clique bound spends exactly the nodes
+    of fresh is_k_colorable calls at each k up to χ, and returns the
+    witness of the call at χ: on seeded G(n, 1/2), three for each n = 6..30,
+    and on Mycielski-5 (clique 2, χ 5)."""
+    rng = random.Random(41)
+    graphs = [Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5])
+              for n in range(6, 31) for _ in range(3)] + [mycielski(5)]
+    refuted = 0
+    for g in graphs:
+        bud = SearchBudget()
+        w = chromatic_number(g, bud)
+        fresh = 0
+        for k in range(greedy_clique_lower_bound(g), w.num_colors + 1):
+            rung = SearchBudget()
+            witness = is_k_colorable(g, k, rung)
+            fresh += rung.nodes
+            refuted += witness is None
+        assert (w, bud.nodes) == (witness, fresh)
+    assert refuted == 59  # 56 rungs on G(n, 1/2), and k = 2, 3, 4 on Mycielski-5
+
+
 def _dsatur_run(degree, pairs, k):
     bud = SearchBudget()
-    return _dsatur(degree, pairs, k, bud), bud.nodes
+    return _dsatur(*_ranked(degree, pairs), k, k, bud), bud.nodes
 
 
 def test_dsatur_ignores_pair_order():
