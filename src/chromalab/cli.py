@@ -9,6 +9,7 @@ parameters); 3 solver node budget exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -196,7 +197,10 @@ def cmd_audit(args) -> int:
     return EXIT_MISMATCH if mismatches else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``chromalab`` argument parser, built once per process: parsing
+    reads it and leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="chromalab",
         description="Exact graph-coloring toolkit and closed-form claims audit.")

@@ -24,10 +24,12 @@ are tried in this order:
    Δ+1 is exact (Misra-Gries witness).
 
 Certified answers spend no search nodes and build no line graph.
-Otherwise one search for a Δ-coloring runs on the line graph's degrees
-and edge pairs, read straight from G with no line graph built, and its
-witness maps back through G's edge order; when that search is
-exhausted, Δ+1 is exact (Misra-Gries witness).
+Otherwise one search for a Δ-coloring runs on the line graph's rank
+masks, read straight from G with no line graph built: each edge's mask
+is the OR of its endpoints' incidence masks, so building them costs O(m)
+whole-mask operations, not one step per line-graph edge.  Its witness
+maps back through G's edge order; when that search is exhausted, Δ+1 is
+exact (Misra-Gries witness).
 
 Searches are bounded by a node budget and raise
 :class:`BudgetExceededError` rather than running unbounded.
@@ -41,7 +43,6 @@ from dataclasses import dataclass
 from .constructions import EdgeColoring, _konig_insertion, edge_color_misra_gries
 from .errors import BudgetExceededError, DomainError
 from .graphs import Graph, bipartition
-from .linegraph import _line_pairs
 
 #: Default node limit, sized so every instance in the test suite finishes
 #: with a wide margin while still cutting off runaway inputs.
@@ -108,22 +109,43 @@ def is_k_colorable(g: Graph, k: int,
     return _dsatur(*_ranked(g.degrees, g.edges), k, k, _as_budget(budget))
 
 
-def _ranked(degree: Sequence[int],
-            pairs: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:
-    """``vertex[p]``, the vertex on bit p, and ``adj[p]``, its adjacency mask
-    over the pairs (in any order), with rank 0 (degree descending, then
-    index) on the top bit."""
+def _rank(degree: Sequence[int]) -> tuple[list[int], list[int]]:
+    """``vertex[p]``, the vertex on bit p, and ``bit[v]``, the bit of vertex v,
+    with rank 0 (degree descending, then index) on the top bit."""
     n = len(degree)
     # degree ascending, ties by index descending: bit p holds rank n - 1 - p
     vertex = sorted(reversed(range(n)), key=degree.__getitem__)
     bit = [0] * n
     for p, v in enumerate(vertex):
         bit[v] = 1 << p
-    mask = [0] * n
+    return vertex, bit
+
+
+def _ranked(degree: Sequence[int],
+            pairs: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """:func:`_rank`'s ``vertex`` and ``adj[p]``, the adjacency mask of the
+    vertex on bit p over the pairs (in any order)."""
+    vertex, bit = _rank(degree)
+    mask = [0] * len(degree)
     for u, v in pairs:
         mask[u] |= bit[v]
         mask[v] |= bit[u]
     return vertex, [mask[v] for v in vertex]
+
+
+def _line_ranked(g: Graph) -> tuple[list[int], list[int]]:
+    """:func:`_ranked` for L(g), read from g: edge (a, b) has degree
+    deg(a) + deg(b) − 2, and its mask is the incidence masks of a and b
+    without its own bit.  Two distinct edges share at most one endpoint,
+    so these are the masks of L(g)'s pairs, in 3m whole-mask operations."""
+    deg = g.degrees
+    vertex, bit = _rank([deg[a] + deg[b] - 2 for a, b in g.edges])
+    inc = [0] * g.order  # bits of the edges at each vertex of g
+    for (a, b), m in zip(g.edges, bit):
+        inc[a] |= m
+        inc[b] |= m
+    line = [(inc[a] | inc[b]) ^ m for (a, b), m in zip(g.edges, bit)]
+    return vertex, [line[e] for e in vertex]
 
 
 def _clique(adj: Sequence[int]) -> int:
@@ -138,7 +160,7 @@ def _clique(adj: Sequence[int]) -> int:
 def _dsatur(vertex: Sequence[int], adj: Sequence[int], k: int, last: int,
             bud: SearchBudget) -> VertexColoring | None:
     """The first coloring found with at most k, k + 1, ..., ``last`` colors
-    on :func:`_ranked`'s masks, or None.
+    on the masks of :func:`_ranked` or :func:`_line_ranked`, or None.
 
     A pick takes a mask's highest bit.  ``blocked[c]`` holds the uncolored
     vertices with a neighbor colored c, and bit i of a vertex's saturation
@@ -222,12 +244,11 @@ def chromatic_index(g: Graph,
 
     Three certificates first: König on bipartite input (Δ colors);
     Misra-Gries when Δ ≤ 2 (an odd cycle) or g is overfull (Δ+1 colors).
-    Otherwise one search for a Δ-coloring of the line graph, fed its
-    degrees deg(a) + deg(b) − 2 and its pairs from
-    :func:`~chromalab.linegraph._line_pairs`, with Misra-Gries as the Δ+1
-    witness when it is exhausted.  Certified answers spend no nodes of the
-    budget.  Requires at least one edge (the chromatic index of an
-    edgeless graph is undefined here).
+    Otherwise one search for a Δ-coloring of the line graph on the masks
+    of :func:`_line_ranked`, built from g's incidence masks, with
+    Misra-Gries as the Δ+1 witness when it is exhausted.  Certified
+    answers spend no nodes of the budget.  Requires at least one edge
+    (the chromatic index of an edgeless graph is undefined here).
     """
     if not g.edges:
         raise DomainError("chromatic index requires a graph with at least one edge")
@@ -238,9 +259,7 @@ def chromatic_index(g: Graph,
     delta = max(deg)
     if delta <= 2 or g.num_edges > delta * (g.order // 2):
         return edge_color_misra_gries(g)
-    # L(g)'s vertex (a, b) meets the other edges at a and at b
-    witness = _dsatur(*_ranked([deg[a] + deg[b] - 2 for a, b in g.edges], _line_pairs(g)),
-                      delta, delta, bud)
+    witness = _dsatur(*_line_ranked(g), delta, delta, bud)
     if witness is None:
         return edge_color_misra_gries(g)
     return EdgeColoring(dict(zip(g.edges, witness.color_of)), witness.num_colors)

@@ -25,7 +25,8 @@ def _line_pairs(g: Graph) -> Iterator[Edge]:
 
     Each pair of edge indices incident at one vertex of g is one pair, so
     the work is O(Σ deg²), not O(m²).  Two distinct edges share at most
-    one endpoint, so no pair comes twice.
+    one endpoint, so no pair comes twice.  Only :func:`line_graph` reads
+    them; χ′'s Δ-search builds its masks from g's incidence masks instead.
     """
     incident: list[list[int]] = [[] for _ in range(g.order)]
     for i, (a, b) in enumerate(g.edges):

@@ -9,7 +9,7 @@ import pytest
 from test_coloring import odd_prism
 
 from chromalab import families
-from chromalab.cli import run
+from chromalab.cli import build_parser, run
 from chromalab.coloring import chromatic_number
 from chromalab.graphs import disjoint_union, parse_edge_list, write_edge_list
 
@@ -319,6 +319,23 @@ def test_exit_code_matrix(tmp_path, capsys):
     for argv, expected in matrix:
         assert run(argv) == expected, argv
         capsys.readouterr()
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    """One parser serves every call in a process; no call's options,
+    errors or help leak into the next."""
+    wheel5 = tmp_path / "w5.txt"
+    write_edge_list(families.wheel(5), wheel5)
+    assert run(["chi", str(wheel5), "--budget", "1"]) == 3
+    capsys.readouterr()
+    assert run(["chi", str(wheel5)]) == 0  # the default budget again
+    assert capsys.readouterr().out == "3\n"
+    assert run(["chi", "--budget", "0", str(wheel5)]) == 2
+    capsys.readouterr()
+    test_audit_csv_golden(capsys)  # byte-equal to its golden after the usage error
+    assert run(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: chromalab")
+    assert build_parser() is build_parser()
 
 
 def test_edge_list_error_reports_line_number(tmp_path, capsys):

@@ -12,8 +12,8 @@ from test_constructions import PETERSEN
 
 import chromalab
 from chromalab import families
-from chromalab.coloring import (EdgeColoring, SearchBudget, VertexColoring, _dsatur, _ranked,
-                                chromatic_index, chromatic_number,
+from chromalab.coloring import (EdgeColoring, SearchBudget, VertexColoring, _dsatur,
+                                _line_ranked, _ranked, chromatic_index, chromatic_number,
                                 greedy_clique_lower_bound, is_k_colorable,
                                 validate_edge_coloring, validate_vertex_coloring)
 from chromalab.constructions import edge_color_complete
@@ -414,6 +414,27 @@ def test_dsatur_ignores_pair_order():
     # both outcomes occur, so the check covers refutations and witnesses
     outcomes = {_dsatur_run(degree, pairs, k)[0] is None for degree, pairs, k in cases}
     assert outcomes == {True, False}
+
+
+def test_line_masks_from_incidence_match_line_pairs():
+    """The Δ-search's masks, ORed from g's incidence masks, are exactly the
+    masks of L(g)'s pairs from ``_line_pairs``: on every labeled graph of
+    order <= 6, and on seeded G(n, p) with n <= 60 and p across (0, 1), where
+    isolated vertices and pieces with Δ <= 2 occur."""
+    def from_pairs(g):
+        deg = g.degrees
+        return _ranked([deg[a] + deg[b] - 2 for a, b in g.edges], _line_pairs(g))
+
+    graphs = [g for n in range(7) for g in all_labeled_graphs(n)]
+    rng = random.Random(53)
+    for _ in range(300):
+        n, p = rng.randint(1, 60), rng.random()
+        graphs.append(Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                if rng.random() < p]))
+    for g in graphs:
+        assert _line_ranked(g) == from_pairs(g)
+    assert any(0 in g.degrees and max(g.degrees) > 2 for g in graphs[-300:])
+    assert any(0 < max(g.degrees) <= 2 for g in graphs[-300:])
 
 
 def test_deep_searches_need_no_recursion():
