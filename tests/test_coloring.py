@@ -12,9 +12,9 @@ from test_constructions import PETERSEN
 
 import chromalab
 from chromalab import families
-from chromalab.coloring import (EdgeColoring, SearchBudget, VertexColoring, _dsatur,
-                                _line_ranked, _ranked, chromatic_index, chromatic_number,
-                                greedy_clique_lower_bound, is_k_colorable,
+from chromalab.coloring import (EdgeColoring, SearchBudget, VertexColoring, _clique, _dsatur,
+                                _line_ranked, _ranked, _two_colored, chromatic_index,
+                                chromatic_number, greedy_clique_lower_bound, is_k_colorable,
                                 validate_edge_coloring, validate_vertex_coloring)
 from chromalab.constructions import edge_color_complete
 from chromalab.enumeration import all_labeled_graphs, graph_from_mask, vertex_pairs
@@ -435,6 +435,72 @@ def test_line_masks_from_incidence_match_line_pairs():
         assert _line_ranked(g) == from_pairs(g)
     assert any(0 in g.degrees and max(g.degrees) > 2 for g in graphs[-300:])
     assert any(0 < max(g.degrees) <= 2 for g in graphs[-300:])
+
+
+def _bipartite_sample(rng: random.Random, n: int) -> Graph:
+    """Random sides, about a fifth of the vertices isolated, sparse cross
+    edges (often several components), and in three of ten draws one edge
+    inside a side, which may close an odd cycle."""
+    side = [rng.choice((0, 1, 1, 0, None)) for _ in range(n)]
+    p = rng.uniform(0.5, 3) / n
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if side[u] is not None and side[v] is not None]
+    edges = [(u, v) for u, v in pairs if side[u] != side[v] and rng.random() < p]
+    inside = [(u, v) for u, v in pairs if side[u] == side[v]]
+    if inside and rng.random() < 0.3:
+        edges.append(rng.choice(inside))
+    return Graph(n, edges)
+
+
+def test_two_colored_is_dsatur_at_two_colors():
+    """The BFS-layer 2-coloring returns the k = 2 search's witness and node
+    count, and None exactly where that search refutes k = 2 (charging no
+    node then): on every labeled graph of order <= 6 with clique bound 2,
+    and on seeded bipartite graphs with n <= 80 whose clique bound is 2."""
+    rng = random.Random(61)
+    graphs = [g for n in range(7) for g in all_labeled_graphs(n)]
+    graphs += [_bipartite_sample(rng, rng.randint(7, 80)) for _ in range(400)]
+    outcomes, seeded = set(), set()
+    for g in graphs:
+        vertex, adj = _ranked(g.degrees, g.edges)
+        if _clique(adj) != 2:
+            continue
+        layered, searched = SearchBudget(), SearchBudget()
+        w = _two_colored(vertex, adj, layered)
+        assert w == _dsatur(vertex, adj, 2, 2, searched)
+        assert layered.nodes == (0 if w is None else searched.nodes)
+        outcomes.add(w is None)
+        if g.order > 6:
+            # fewer edges than a spanning tree of the non-isolated vertices
+            touched = sum(d > 0 for d in g.degrees)
+            seeded.add((w is None, touched < g.order, g.num_edges < touched - 1))
+    assert outcomes == {True, False}
+    # the seeded draws include odd cycles, and 2-colorings with isolated
+    # vertices next to several components with edges
+    assert any(refuted for refuted, _, _ in seeded)
+    assert (False, True, True) in seeded
+
+
+def test_two_colored_charges_one_node_per_vertex():
+    """A bipartite answer costs n nodes: n fit, n - 1 raise at node n,
+    on a fresh budget and on one shared by two calls."""
+    for g in (families.path(50), families.cycle(50)):
+        bud = SearchBudget(49)
+        with pytest.raises(BudgetExceededError):
+            chromatic_number(g, bud)
+        assert bud.nodes == 50
+        bud = SearchBudget(50)
+        assert chromatic_number(g, bud).num_colors == 2
+        assert bud.nodes == 50
+    shared = SearchBudget(99)
+    chromatic_number(families.path(50), shared)
+    with pytest.raises(BudgetExceededError):
+        chromatic_number(families.cycle(50), shared)
+    assert shared.nodes == 100
+    shared = SearchBudget(100)
+    for g in (families.path(50), families.cycle(50)):
+        assert chromatic_number(g, shared).num_colors == 2
+    assert shared.nodes == 100
 
 
 def test_deep_searches_need_no_recursion():

@@ -30,12 +30,24 @@ def graphs(draw, max_order: int = 6) -> Graph:
     return Graph(n, [p for p, k in zip(pairs, keep) if k])
 
 
+@st.composite
+def bipartite_graphs(draw, max_order: int = 10) -> Graph:
+    """Random sides and random cross edges, so pieces may be disconnected
+    and vertices isolated: input that ``graphs()`` rarely draws past order 4."""
+    n = draw(st.integers(0, max_order))
+    side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    pairs = [(u, v) for u, v in combinations(range(n), 2) if side[u] != side[v]]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [p for p, k in zip(pairs, keep) if k])
+
+
 @FIXED
-@given(graphs())
-def test_chromatic_number_matches_oracle(g):
-    w = chromatic_number(g)
-    assert validate_vertex_coloring(g, w)
-    assert w.num_colors == brute_force_chromatic_number(g)
+@given(graphs(), bipartite_graphs())
+def test_chromatic_number_matches_oracle(g, b):
+    for h in (g, b):
+        w = chromatic_number(h)
+        assert validate_vertex_coloring(h, w)
+        assert w.num_colors == brute_force_chromatic_number(h)
 
 
 @FIXED
