@@ -83,6 +83,8 @@ def cmd_chi_index(args) -> int:
 
 
 def _resolve_edge_color_input(args) -> Graph:
+    if args.params is not None and not args.family:
+        raise DomainError("--params requires --family")
     if bool(args.file) == bool(args.family):
         raise DomainError("edge-color needs exactly one input: a FILE or --family/--params")
     if args.file:

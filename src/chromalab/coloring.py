@@ -238,7 +238,8 @@ def _two_colored(vertex: Sequence[int], adj: Sequence[int],
     starts at its highest bit with color 0, and every later color is forced
     by parity from that root, so its witness is the layer parity and it
     spends one node per vertex.  The nodes are charged only on success;
-    otherwise the search runs as before.
+    otherwise the search runs as before.  Not shared with
+    :func:`graphs._layers` (lowest-bit roots): sharing it slowed long paths.
     """
     n = len(vertex)
     color_of = [0] * n

@@ -3,6 +3,7 @@
 A graph of order n is encoded by a bitmask over the C(n, 2) vertex pairs
 in lexicographic order; mask bit i corresponds to ``vertex_pairs(n)[i]``.
 Enumeration order (ascending order, then ascending mask) is deterministic.
+Connected bipartite graphs are filtered by one layer BFS per candidate.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import DomainError
-from .graphs import Edge, Graph, bipartition
+from .graphs import Edge, Graph, _layers
 
 
 def vertex_pairs(n: int) -> tuple[Edge, ...]:
@@ -33,27 +34,10 @@ def all_labeled_graphs(n: int) -> Iterator[Graph]:
                                               if mask >> i & 1]))
 
 
-def is_connected(g: Graph) -> bool:
-    if g.order == 0:
-        return True
-    adj = g.adjacency_masks
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            nxt |= adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == (1 << g.order) - 1
-
-
 def connected_bipartite_graphs(max_order: int) -> Iterator[Graph]:
     """All connected bipartite labeled graphs with at least one edge, order <= max_order."""
     for n in range(2, max_order + 1):
         for g in all_labeled_graphs(n):
-            if g.edges and is_connected(g) and bipartition(g) is not None:
+            found = _layers(g.adjacency_masks)
+            if found is not None and found[1] == 1:  # one component of order >= 2 has an edge
                 yield g

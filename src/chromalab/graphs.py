@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import DomainError, EdgeListFormatError
 
@@ -123,33 +123,43 @@ def max_degree(g: Graph) -> int:
     return max(g.degrees, default=0)
 
 
-def bipartition(g: Graph) -> tuple[int, ...] | None:
-    """Side (0 or 1) of each vertex in a two-coloring of g, or None on an odd cycle.
+def _layers(masks: Sequence[int]) -> tuple[int, int] | None:
+    """Breadth-first search by bitmask layers over adjacency masks.
 
-    A breadth-first search over ``adjacency_masks`` whose layers are
-    bitmasks.  Each component starts at its lowest-index vertex, on side 0,
-    and layers alternate sides, so a vertex's side is the parity of its
-    distance from that vertex.  An edge inside a layer closes an odd cycle.
-    The order-0 graph gives the falsy ``()``, so callers test ``is None``.
+    Each component is rooted at its lowest vertex and a layer's bits are read
+    from the top, so no mask is ever negative.  Returns ``(odd, parts)``, the
+    vertices at odd distance from their root and the number of components,
+    or None at the first layer that holds an edge (an odd cycle).
     """
-    masks = g.adjacency_masks
-    unseen = (1 << g.order) - 1
-    odd = 0  # vertices at odd distance from their component's start
+    unseen = (1 << len(masks)) - 1
+    odd = parts = 0
     while unseen:
-        layer, parity = unseen & -unseen, 0
+        layer, parity = unseen & (unseen ^ (unseen - 1)), 0
+        parts += 1
         while layer:
             unseen ^= layer
-            reach, m = 0, layer
-            while m:
-                low = m & -m
-                reach |= masks[low.bit_length() - 1]
-                m ^= low
+            reach, rest = 0, layer
+            while rest:
+                p = rest.bit_length() - 1
+                rest ^= 1 << p
+                reach |= masks[p]
             if reach & layer:
                 return None
             if parity:
                 odd |= layer
             layer, parity = reach & unseen, parity ^ 1
-    return tuple(odd >> v & 1 for v in range(g.order))
+    return odd, parts
+
+
+def bipartition(g: Graph) -> tuple[int, ...] | None:
+    """Side (0 or 1) of each vertex in a two-coloring of g, or None on an odd cycle.
+
+    A vertex's side is the parity of its distance from its component's
+    lowest-index vertex, found by :func:`_layers`.  The order-0 graph gives
+    the falsy ``()``, so callers test ``is None``.
+    """
+    found = _layers(g.adjacency_masks)
+    return None if found is None else tuple(found[0] >> v & 1 for v in range(g.order))
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -4,8 +4,9 @@ These deliberately share nothing with the package's search code: the
 vertex oracle enumerates all k^n assignments with itertools.product, the
 edge oracle backtracks over edges in input order with no line graph,
 no saturation ordering, no clique bound and no symmetry breaking, the
-line-graph oracle tests every pair of edges, and the clique oracle scans
-neighbor sets by vertex index, with no rank order.
+line-graph oracle tests every pair of edges, the clique oracle scans
+neighbor sets by vertex index, with no rank order, and the bipartite and
+component oracles try every side assignment and union the edge list.
 """
 
 from itertools import product
@@ -80,3 +81,26 @@ def greedy_clique(g: Graph) -> int:
         common &= nbrs[best]
         size += 1
     return size
+
+
+def bipartite_by_side_enumeration(g: Graph) -> bool:
+    # independent check: try all 2^n side assignments
+    for mask in range(1 << g.order):
+        if all((mask >> u & 1) != (mask >> v & 1) for u, v in g.edges):
+            return True
+    return False
+
+
+def component_starts(g: Graph) -> set[int]:
+    # independent of the search: union-find over the edge list
+    parent = list(range(g.order))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in g.edges:
+        low, high = sorted((find(u), find(v)))
+        parent[high] = low  # so each root is its component's lowest vertex
+    return {find(v) for v in range(g.order)}

@@ -108,6 +108,9 @@ def test_edge_color_input_validation(k5_file, capsys):
     assert run(["edge-color", k5_file, "--family", "wheel", "--params", "5"]) == 2
     # neither input is a usage error
     assert run(["edge-color", "--method", "exact"]) == 2
+    # --params without --family is a usage error, with or without a FILE
+    assert run(["edge-color", k5_file, "--params", "5"]) == 2
+    assert run(["edge-color", "--params", "5"]) == 2
     capsys.readouterr()
     # wheel(5) has the order of helm(2), below the helm minimum; order 6 is even
     for params in ("5", "6"):

@@ -1,9 +1,13 @@
 import random
+from collections import Counter
 
 import pytest
 
+from oracles import bipartite_by_side_enumeration, component_starts
+
 from chromalab import families
-from chromalab.enumeration import all_labeled_graphs, graph_from_mask, vertex_pairs
+from chromalab.enumeration import (all_labeled_graphs, connected_bipartite_graphs,
+                                   graph_from_mask, vertex_pairs)
 from chromalab.errors import DomainError, EdgeListFormatError
 from chromalab.graphs import (Graph, bipartition, complement, disjoint_union,
                               format_edge_list, join, max_degree, parse_edge_list)
@@ -123,36 +127,13 @@ def test_bipartition_examples():
     assert bipartition(Graph(0)) == ()
 
 
-def _bipartite_by_side_enumeration(g):
-    # independent check: try all 2^n side assignments
-    for mask in range(1 << g.order):
-        if all((mask >> u & 1) != (mask >> v & 1) for u, v in g.edges):
-            return True
-    return False
-
-
-def _component_starts(g):
-    # independent of the search: union-find over the edge list
-    parent = list(range(g.order))
-
-    def find(v):
-        while parent[v] != v:
-            v = parent[v]
-        return v
-
-    for u, v in g.edges:
-        low, high = sorted((find(u), find(v)))
-        parent[high] = low  # so each root is its component's lowest vertex
-    return {find(v) for v in range(g.order)}
-
-
 def _check_bipartition(g, sides):
-    assert (sides is not None) == _bipartite_by_side_enumeration(g)
+    assert (sides is not None) == bipartite_by_side_enumeration(g)
     if sides is not None:
         assert len(sides) == g.order and all(sides[u] != sides[v] for u, v in g.edges)
         # the lowest-index vertex of every component lands on side 0; with
         # validity this fixes the whole tuple
-        assert all(sides[v] == 0 for v in _component_starts(g))
+        assert all(sides[v] == 0 for v in component_starts(g))
 
 
 def test_bipartition_matches_enumeration_exhaustive_leq6():
@@ -167,6 +148,40 @@ def test_bipartition_matches_enumeration_sampled_order7():
     for _ in range(20000):
         g = graph_from_mask(7, rng.randrange(top))
         _check_bipartition(g, bipartition(g))
+
+
+def _relabeled(g, label):
+    return Graph(g.order, [(label[u], label[v]) for u, v in g.edges])
+
+
+def test_bipartition_long_inputs():
+    # root picks and top-down bit reads over 20000-bit masks, checked by
+    # polynomial oracles instead of 2^n side assignments
+    n, rng = 20000, random.Random(18)
+    label = list(range(n))
+    rng.shuffle(label)
+    mid = label.index(0)
+    label[mid], label[n // 2] = label[n // 2], 0  # the lowest index sits mid-path
+    paths = disjoint_union([families.path(7001), families.path(6999), families.path(6000)])
+    spread = list(range(n))
+    rng.shuffle(spread)  # interleave the three components' labels
+    for g in (families.path(n), families.cycle(n), _relabeled(families.path(n), label),
+              paths, _relabeled(paths, spread)):
+        sides = bipartition(g)
+        assert len(sides) == g.order and all(sides[u] != sides[v] for u, v in g.edges)
+        assert all(sides[v] == 0 for v in component_starts(g))
+    assert bipartition(families.cycle(n + 1)) is None
+
+
+def test_connected_bipartite_graphs_match_oracle_filter_leq5():
+    assert list(connected_bipartite_graphs(5)) == [
+        g for n in range(2, 6) for g in all_labeled_graphs(n)
+        if len(component_starts(g)) == 1 and bipartite_by_side_enumeration(g)]
+
+
+def test_connected_bipartite_graphs_counts_a001832():
+    counts = Counter(g.order for g in connected_bipartite_graphs(6))
+    assert [counts[n] for n in range(2, 7)] == [1, 3, 19, 195, 3031]
 
 
 def test_edge_list_round_trip():

@@ -1,12 +1,12 @@
 import random
 from math import comb
 
-from oracles import brute_force_line_graph
+from oracles import brute_force_line_graph, component_starts
 from test_graphs import assert_validated_form
 
 from chromalab import families
 from chromalab.coloring import chromatic_number
-from chromalab.enumeration import all_labeled_graphs, is_connected
+from chromalab.enumeration import all_labeled_graphs
 from chromalab.graphs import Graph, complement, format_edge_list, max_degree, parse_edge_list
 from chromalab.linegraph import _line_pairs, line_graph
 
@@ -56,7 +56,7 @@ def test_cycle_line_graph_is_cycle():
         lg = line_graph(families.cycle(n)).graph
         assert lg.order == n and lg.num_edges == n
         assert all(d == 2 for d in lg.degrees)
-        assert is_connected(lg)
+        assert len(component_starts(lg)) == 1
 
 
 def test_line_graph_chromatic_number_within_vizing_band_leq5():
