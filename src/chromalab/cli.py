@@ -3,7 +3,8 @@
 Exit codes: 0 success (and, for audit, no mismatches beyond the expected
 fingerprint); 1 audit found unexplained mismatches or a bound check
 failed; 2 usage or domain error (malformed files, out-of-domain
-parameters); 3 solver node budget exceeded.
+parameters); 3 a resource ran out before an answer: the solver node
+budget was exceeded, or memory ran out (``error: out of memory``).
 """
 
 from __future__ import annotations
@@ -296,6 +297,9 @@ def run(argv=None) -> int:
         return EXIT_USAGE
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_BUDGET
 
 

@@ -10,11 +10,12 @@ per solve: each color has a blocked-color mask of the uncolored
 vertices with a neighbor of that color, and saturation is a binary
 counter sliced into one mask per bit, so coloring a vertex costs a few
 whole-mask operations.  The chromatic number is one search that climbs
-k from the greedy clique bound.  When that bound is 2, BFS layers on the
-same masks first look for the 2-coloring the search would find without
-branching: the same witness, charged the same one node per vertex, so
-only input with an odd cycle is searched.  All tie-breaking is fixed, so
-returned witnesses are byte-stable across runs.
+k from the greedy clique bound.  When that bound is 2, the BFS
+two-coloring of :mod:`graphs`, rooted in rank order, first looks for the
+2-coloring the search would find without branching: the same witness,
+charged the same one node per vertex, so only input with an odd cycle is
+searched.  All tie-breaking is fixed, so returned witnesses are
+byte-stable across runs.
 
 The chromatic index is certified before it is searched.  Vizing's
 theorem puts it at the maximum degree Δ or at Δ+1, so the certificates
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 from .constructions import EdgeColoring, _konig_insertion, edge_color_misra_gries
 from .errors import BudgetExceededError, DomainError
-from .graphs import Graph, bipartition
+from .graphs import Graph, _two_coloring, bipartition
 
 #: Default node limit, sized so every instance in the test suite finishes
 #: with a wide margin while still cutting off runaway inputs.
@@ -229,57 +230,29 @@ def _dsatur(vertex: Sequence[int], adj: Sequence[int], k: int, last: int,
     return VertexColoring(tuple(color_of), used)
 
 
-def _two_colored(vertex: Sequence[int], adj: Sequence[int],
-                 bud: SearchBudget) -> VertexColoring | None:
-    """DSATUR's witness at k = 2 on the masks of :func:`_ranked` of a graph
-    with an edge, colored by BFS layers, or None if a layer holds an edge.
-
-    At k = 2 DSATUR never branches on bipartite input: each component
-    starts at its highest bit with color 0, and every later color is forced
-    by parity from that root, so its witness is the layer parity and it
-    spends one node per vertex.  The nodes are charged only on success;
-    otherwise the search runs as before.  Not shared with
-    :func:`graphs._layers` (lowest-bit roots): sharing it slowed long paths.
-    """
-    n = len(vertex)
-    color_of = [0] * n
-    free = (1 << n) - 1  # uncolored vertices
-    while free:
-        layer, color = 1 << (free.bit_length() - 1), 0
-        while layer:
-            free ^= layer
-            reach, rest = 0, layer
-            while rest:
-                p = rest.bit_length() - 1
-                rest ^= 1 << p
-                reach |= adj[p]
-                color_of[vertex[p]] = color
-            if reach & layer:  # an edge inside a layer closes an odd cycle
-                return None
-            layer, color = reach & free, color ^ 1
-    if bud.nodes + n > bud.limit:  # raise where one spend() per node would
-        bud.nodes = max(bud.nodes, bud.limit)
-        bud.spend()
-    bud.nodes += n
-    return VertexColoring(tuple(color_of), 2)
-
-
 def chromatic_number(g: Graph,
                      budget: int | SearchBudget | None = None) -> VertexColoring:
     """Exact minimum vertex coloring; ``num_colors`` is the chromatic number.
 
     One search climbs k from the greedy clique lower bound, under one
-    budget.  When that bound is 2, :func:`_two_colored` answers bipartite
-    input first with the search's own witness and node count, and odd
-    cycles fall through to the search.  The order-0 graph needs 0 colors
-    and any edgeless nonempty graph needs 1.
+    budget.  When that bound is 2, :func:`graphs._two_coloring` rooted in
+    rank order answers bipartite input first: at k = 2 DSATUR never
+    branches, so its witness is the distance parity from each component's
+    highest-ranked vertex and it spends one node per vertex, charged only
+    on success.  Odd cycles fall through to the search.  The order-0 graph
+    needs 0 colors and any edgeless nonempty graph needs 1.
     """
     vertex, adj = _ranked(g.degrees, g.edges)
     low, bud = _clique(adj), _as_budget(budget)
     if low == 2:
-        witness = _two_colored(vertex, adj, bud)
-        if witness is not None:
-            return witness
+        side = _two_coloring(g.adjacency_masks, reversed(vertex))
+        if side is not None:
+            n = g.order
+            if bud.nodes + n > bud.limit:  # raise where one spend() per node would
+                bud.nodes = max(bud.nodes, bud.limit)
+                bud.spend()
+            bud.nodes += n
+            return VertexColoring(tuple(side), 2)
     return _dsatur(vertex, adj, low, g.order, bud)
 
 

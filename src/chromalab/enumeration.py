@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .errors import DomainError
-from .graphs import Edge, Graph, _layers
+from .graphs import Edge, Graph, _two_coloring
 
 
 def vertex_pairs(n: int) -> tuple[Edge, ...]:
@@ -38,6 +38,6 @@ def connected_bipartite_graphs(max_order: int) -> Iterator[Graph]:
     """All connected bipartite labeled graphs with at least one edge, order <= max_order."""
     for n in range(2, max_order + 1):
         for g in all_labeled_graphs(n):
-            found = _layers(g.adjacency_masks)
-            if found is not None and found[1] == 1:  # one component of order >= 2 has an edge
+            side = _two_coloring(g.adjacency_masks, (0,))
+            if side is not None and -1 not in side:  # vertex 0 reaches every vertex
                 yield g

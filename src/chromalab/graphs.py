@@ -123,19 +123,21 @@ def max_degree(g: Graph) -> int:
     return max(g.degrees, default=0)
 
 
-def _layers(masks: Sequence[int]) -> tuple[int, int] | None:
-    """Breadth-first search by bitmask layers over adjacency masks.
+def _two_coloring(masks: Sequence[int], roots: Iterable[int]) -> list[int] | None:
+    """Side (0 or 1) of each vertex by breadth-first search over adjacency
+    masks, or None at the first layer that holds an edge (an odd cycle).
 
-    Each component is rooted at its lowest vertex and a layer's bits are read
-    from the top, so no mask is ever negative.  Returns ``(odd, parts)``, the
-    vertices at odd distance from their root and the number of components,
-    or None at the first layer that holds an edge (an odd cycle).
+    Each root not yet reached, in the order given, starts a component on
+    side 0, and a vertex's side is the parity of its distance from that
+    root.  A layer's bits are read from the top, so no mask is ever
+    negative.  Vertices that no root reaches keep side -1.
     """
+    side = [-1] * len(masks)
     unseen = (1 << len(masks)) - 1
-    odd = parts = 0
-    while unseen:
-        layer, parity = unseen & (unseen ^ (unseen - 1)), 0
-        parts += 1
+    for root in roots:
+        if side[root] >= 0:
+            continue
+        layer, parity = 1 << root, 0
         while layer:
             unseen ^= layer
             reach, rest = 0, layer
@@ -143,23 +145,22 @@ def _layers(masks: Sequence[int]) -> tuple[int, int] | None:
                 p = rest.bit_length() - 1
                 rest ^= 1 << p
                 reach |= masks[p]
+                side[p] = parity
             if reach & layer:
                 return None
-            if parity:
-                odd |= layer
             layer, parity = reach & unseen, parity ^ 1
-    return odd, parts
+    return side
 
 
 def bipartition(g: Graph) -> tuple[int, ...] | None:
     """Side (0 or 1) of each vertex in a two-coloring of g, or None on an odd cycle.
 
     A vertex's side is the parity of its distance from its component's
-    lowest-index vertex, found by :func:`_layers`.  The order-0 graph gives
-    the falsy ``()``, so callers test ``is None``.
+    lowest-index vertex, found by :func:`_two_coloring`.  The order-0 graph
+    gives the falsy ``()``, so callers test ``is None``.
     """
-    found = _layers(g.adjacency_masks)
-    return None if found is None else tuple(found[0] >> v & 1 for v in range(g.order))
+    side = _two_coloring(g.adjacency_masks, range(g.order))
+    return None if side is None else tuple(side)
 
 
 def parse_edge_list(text: str) -> Graph:

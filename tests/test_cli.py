@@ -120,6 +120,11 @@ def test_edge_color_input_validation(k5_file, capsys):
                                            "helm graph in its documented labeling\n")
 
 
+def test_edge_color_family_without_params(capsys):
+    assert run(["edge-color", "--family", "wheel"]) == 2
+    assert capsys.readouterr().err == "error: --family requires --params\n"
+
+
 def test_edge_color_complete_method_on_file(k5_file, capsys):
     assert run(["edge-color", k5_file, "--method", "complete"]) == 0
     assert capsys.readouterr().out == "5\n"
@@ -358,3 +363,22 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "true\n"
+
+
+def test_out_of_memory_exits_3_without_traceback(tmp_path):
+    """Running out of memory is a resource limit, like the node budget: exit
+    3 and one error line.  ng check on the edgeless graph of order 3000
+    builds its complement K_3000, about 4.5M edge tuples, more than a
+    400 MB address space holds."""
+    resource = pytest.importorskip("resource")
+    header = tmp_path / "header.txt"
+    header.write_text("3000 0\n")
+    cap = 400_000 * 1024
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run([sys.executable, "-m", "chromalab.cli", "ng", "check", str(header)],
+                          capture_output=True, text=True, preexec_fn=limit, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr == "error: out of memory\n"  # no traceback

@@ -13,9 +13,9 @@ from test_constructions import PETERSEN
 import chromalab
 from chromalab import families
 from chromalab.coloring import (EdgeColoring, SearchBudget, VertexColoring, _clique, _dsatur,
-                                _line_ranked, _ranked, _two_colored, chromatic_index,
-                                chromatic_number, greedy_clique_lower_bound, is_k_colorable,
-                                validate_edge_coloring, validate_vertex_coloring)
+                                _line_ranked, _ranked, chromatic_index, chromatic_number,
+                                greedy_clique_lower_bound, is_k_colorable, validate_edge_coloring,
+                                validate_vertex_coloring)
 from chromalab.constructions import edge_color_complete
 from chromalab.enumeration import all_labeled_graphs, graph_from_mask, vertex_pairs
 from chromalab.errors import BudgetExceededError, DomainError
@@ -159,6 +159,19 @@ def test_validate_edge_coloring():
     assert not validate_edge_coloring(p3, EdgeColoring({(0, 1): 0}, 1))
     assert not validate_edge_coloring(p3, EdgeColoring({(0, 1): False, (1, 2): True}, 2))
     assert not validate_edge_coloring(families.path(2), EdgeColoring({(0, 1): 0}, True))
+
+
+def test_validators_reject_branches():
+    """The oracles' reject branches: a vertex witness of the wrong length,
+    an edgeless graph with a nonzero color count, and a color gap."""
+    k3 = families.complete(3)
+    assert not validate_vertex_coloring(k3, VertexColoring((0, 1), 2))
+    assert not validate_vertex_coloring(k3, VertexColoring((0, 1, 2, 0), 3))
+    edgeless = Graph(3)
+    assert validate_edge_coloring(edgeless, EdgeColoring({}, 0))
+    assert not validate_edge_coloring(edgeless, EdgeColoring({}, 1))
+    p3 = families.path(3)
+    assert not validate_edge_coloring(p3, EdgeColoring({(0, 1): 0, (1, 2): 2}, 3))
 
 
 def test_witnesses_validate_and_use_stated_colors():
@@ -453,27 +466,38 @@ def _bipartite_sample(rng: random.Random, n: int) -> Graph:
 
 
 def test_two_colored_is_dsatur_at_two_colors():
-    """The BFS-layer 2-coloring returns the k = 2 search's witness and node
-    count, and None exactly where that search refutes k = 2 (charging no
-    node then): on every labeled graph of order <= 6 with clique bound 2,
-    and on seeded bipartite graphs with n <= 80 whose clique bound is 2."""
+    """At clique bound 2, chromatic_number returns the search's own witness
+    and node count: the BFS two-coloring answers bipartite input with
+    DSATUR's k = 2 witness, and on an odd cycle it charges no node before
+    the search runs.  Checked on every labeled graph of order <= 6 with
+    clique bound 2, on seeded bipartite graphs with n <= 80 whose clique
+    bound is 2, and on a path and a cycle of 5000 vertices with shuffled
+    labels, so the rank-order roots are checked on long inputs."""
     rng = random.Random(61)
     graphs = [g for n in range(7) for g in all_labeled_graphs(n)]
     graphs += [_bipartite_sample(rng, rng.randint(7, 80)) for _ in range(400)]
+    for g in (families.path(5000), families.cycle(5000)):
+        # vertex 0 stays at one end of the path, where index order would
+        # root it but rank order roots at a vertex of degree 2
+        label = list(range(1, g.order))
+        rng.shuffle(label)
+        label.insert(0, 0)
+        graphs.append(Graph(g.order, [(label[u], label[v]) for u, v in g.edges]))
     outcomes, seeded = set(), set()
     for g in graphs:
         vertex, adj = _ranked(g.degrees, g.edges)
         if _clique(adj) != 2:
             continue
         layered, searched = SearchBudget(), SearchBudget()
-        w = _two_colored(vertex, adj, layered)
-        assert w == _dsatur(vertex, adj, 2, 2, searched)
-        assert layered.nodes == (0 if w is None else searched.nodes)
-        outcomes.add(w is None)
+        w = chromatic_number(g, layered)
+        assert w == _dsatur(vertex, adj, 2, g.order, searched)
+        assert layered.nodes == searched.nodes
+        refuted = w.num_colors > 2
+        outcomes.add(refuted)
         if g.order > 6:
             # fewer edges than a spanning tree of the non-isolated vertices
             touched = sum(d > 0 for d in g.degrees)
-            seeded.add((w is None, touched < g.order, g.num_edges < touched - 1))
+            seeded.add((refuted, touched < g.order, g.num_edges < touched - 1))
     assert outcomes == {True, False}
     # the seeded draws include odd cycles, and 2-colorings with isolated
     # vertices next to several components with edges

@@ -53,6 +53,12 @@ def test_graph_rejects_bad_edges():
         next(all_labeled_graphs(True))
 
 
+def test_graph_rejects_edges_that_are_not_pairs():
+    for item in ((0,), (0, 1, 2), 5):
+        with pytest.raises(DomainError, match="is not a pair of vertices"):
+            Graph(3, [item])
+
+
 def test_complement_complete_is_empty():
     assert complement(families.complete(4)) == Graph(4)
 
@@ -182,6 +188,13 @@ def test_connected_bipartite_graphs_match_oracle_filter_leq5():
 def test_connected_bipartite_graphs_counts_a001832():
     counts = Counter(g.order for g in connected_bipartite_graphs(6))
     assert [counts[n] for n in range(2, 7)] == [1, 3, 19, 195, 3031]
+
+
+def test_edge_list_rejects_negative_header():
+    for text in ("-1 0\n", "3 -1\n"):
+        with pytest.raises(EdgeListFormatError, match="must be non-negative") as err:
+            parse_edge_list(text)
+        assert err.value.line == 1
 
 
 def test_edge_list_round_trip():
