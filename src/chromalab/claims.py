@@ -5,9 +5,11 @@ quantity of a graph family: the vertex chromatic number ``chi``, the
 chromatic number of the line graph ``chi_line`` (equivalently the
 chromatic index), their ``sum``, or their ``product``.  Formulas are
 plain functions of the family parameters (in the order the family table
-names them), one function per claim that handles its own parity, and
-every claim carries a citation string restating the claimed identity so an
-audit report doubles as an errata table.
+names them), evaluated only at the audited points: each family's range
+starts at its :data:`AUDIT_FAMILIES` point, and ``families.make`` checks
+the point as it builds the graph.  Every claim carries a citation string
+restating the claimed identity so an audit report doubles as an errata
+table.
 
 Several registered claims are wrong on purpose: the audit's job is to
 find out, by generating each graph and solving exactly, which formulas
@@ -129,16 +131,6 @@ AUDIT_FAMILIES: dict[str, tuple[int, ...]] = {
     "bistar": (1, 1), "wheel": (4,), "helm": (3,), "fan": (2,)}
 
 
-def claimed_value(claim: Claim, params: tuple[int, ...]) -> int | None:
-    """The claim's value at params, or None below its family's audited minimum."""
-    mins = AUDIT_FAMILIES[claim.family]
-    if len(params) != len(mins):
-        raise DomainError(f"{claim.id} takes {len(mins)} parameter(s), got {len(params)}")
-    if any(p < lo for p, lo in zip(params, mins)):
-        return None
-    return claim.value(*params)
-
-
 @dataclass(frozen=True)
 class AuditRow:
     """One audited (claim, parameter point): exact value vs claimed value."""
@@ -198,7 +190,7 @@ def _audit_point(family: str, point: tuple[int, ...],
     values, witness = _exact_quantities(families.make(family, *point), budget_limit)
     rows = []
     for c in claims_for(family):
-        exact, claimed = values[c.quantity], claimed_value(c, point)
+        exact, claimed = values[c.quantity], c.value(*point)
         rows.append(AuditRow(c.id, params, exact, claimed,
                              _verdict(exact, claimed, claimed), witness, c.citation))
     return rows

@@ -1,7 +1,8 @@
 """Constructive edge colorings with certified color counts.
 
 Each construction returns an :class:`EdgeColoring` for the corresponding
-canonical graph (see :mod:`chromalab.families` for labeling):
+canonical graph (see :mod:`chromalab.families` for labeling; the wheel,
+helm and fan rules check n with the family check, ``families._check``):
 
 * complete graphs by the circle method (n-1 colors for even n, n for odd);
 * bipartite graphs by iterative insertion with alternating-path flips,
@@ -54,7 +55,7 @@ def edge_color_complete(n: int) -> EdgeColoring:
     the round r with i + j = 2r (mod n-1), and (i, n-1) gets round i.
     Odd case: edge (i, j) gets color (i + j) mod n.
     """
-    if n < 2:
+    if type(n) is not int or n < 2:
         raise DomainError(f"edge_color_complete requires n >= 2 (got n={n})")
     color_of = {}
     if n % 2 == 0:
@@ -163,21 +164,19 @@ def _hub_rule(k: int, closed: bool, pendants: bool) -> EdgeColoring:
 
 
 def edge_color_wheel(n: int) -> EdgeColoring:
-    """Color wheel(n) with n-1 colors by the hub rule; requires n >= 4."""
-    if n < 4:
-        raise DomainError(f"edge_color_wheel requires n >= 4 (got n={n})")
+    """Color wheel(n) with n-1 colors by the hub rule."""
+    families._check("wheel", n)
     return _hub_rule(n - 1, closed=True, pendants=False)
 
 
 def edge_color_helm(n: int) -> EdgeColoring:
-    """Color helm(n) with n colors by the hub rule; requires n >= 4.
+    """Color helm(n) with n colors by the hub rule.
 
     At n=3 the rule's three offsets collide and the true optimum is
     larger, so the call raises :class:`ConstructionInfeasibleError`
     carrying the exact coloring: Misra-Gries uses Δ = 4 colors there.
     """
-    if n < 3:
-        raise DomainError(f"edge_color_helm requires n >= 3 (got n={n})")
+    families._check("helm", n)
     if n == 3:
         exact = edge_color_misra_gries(families.helm(3))
         raise ConstructionInfeasibleError(
@@ -187,13 +186,12 @@ def edge_color_helm(n: int) -> EdgeColoring:
 
 
 def edge_color_fan(n: int) -> EdgeColoring:
-    """Color fan(n) with n colors by the hub rule; requires n >= 3.
+    """Color fan(n) with n colors by the hub rule.
 
     fan(2) is K_3 and needs 3 colors, not 2, so it raises
     :class:`ConstructionInfeasibleError` with the exact coloring attached.
     """
-    if n < 2:
-        raise DomainError(f"edge_color_fan requires n >= 2 (got n={n})")
+    families._check("fan", n)
     if n == 2:
         exact = edge_color_misra_gries(families.fan(2))
         raise ConstructionInfeasibleError(

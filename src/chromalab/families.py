@@ -15,6 +15,10 @@ Labeling conventions (fixed so colorings are reproducible):
                                 to rim vertex i; 2n+1 vertices, 3n edges.
 * ``fan(n)``                 -- hub 0 joined to the path 1..n (n+1 vertices,
                                 2n-1 edges); needs n >= 2, so fan(2) = K_3.
+
+:func:`generate` checks a family name and parameter count; :func:`_check`,
+which every generator and the wheel, helm and fan edge-coloring rules
+call, checks each value against :data:`FAMILY_TABLE`.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError
-from .graphs import Graph, join
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -44,25 +48,6 @@ class Family:
     size_of_param: Callable[[int], int] | None = None
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family name plus its parameters, validated against the family table."""
-
-    family: str
-    params: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.family not in FAMILY_TABLE:
-            raise DomainError(f"unknown family {self.family!r}; choose from {', '.join(FAMILIES)}")
-        fam = FAMILY_TABLE[self.family]
-        if len(self.params) != len(fam.mins):
-            raise DomainError(f"{self.family} takes {len(fam.mins)} parameter(s) "
-                              f"({', '.join(fam.params)}), got {len(self.params)}")
-        for name, lo, value in zip(fam.params, fam.mins, self.params):
-            if type(value) is not int or value < lo:
-                raise DomainError(f"{self.family} requires {name} >= {lo} (got {name}={value})")
-
-
 def complete(n: int) -> Graph:
     _check("complete", n)
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
@@ -75,7 +60,7 @@ def complete_bipartite(m: int, n: int) -> Graph:
 
 def star(n: int) -> Graph:
     _check("star", n)
-    return complete_bipartite(1, n)
+    return Graph(n + 1, [(0, k) for k in range(1, n + 1)])
 
 
 def bistar(m: int, n: int) -> Graph:
@@ -98,7 +83,9 @@ def cycle(n: int) -> Graph:
 
 def wheel(n: int) -> Graph:
     _check("wheel", n)
-    return join(Graph(1), cycle(n - 1))
+    edges = [(0, i) for i in range(1, n)]                     # spokes
+    edges += [(i, i % (n - 1) + 1) for i in range(1, n)]      # rim cycle
+    return Graph(n, edges)
 
 
 def helm(n: int) -> Graph:
@@ -111,7 +98,9 @@ def helm(n: int) -> Graph:
 
 def fan(n: int) -> Graph:
     _check("fan", n)
-    return join(Graph(1), path(n))
+    edges = [(0, i) for i in range(1, n + 1)]                 # spokes
+    edges += [(i, i + 1) for i in range(1, n)]                # path
+    return Graph(n + 1, edges)
 
 
 FAMILY_TABLE: dict[str, Family] = {
@@ -129,15 +118,25 @@ FAMILY_TABLE: dict[str, Family] = {
 FAMILIES = tuple(FAMILY_TABLE)
 
 
-def generate(spec: FamilySpec) -> Graph:
-    """Build the graph a validated spec describes."""
-    return FAMILY_TABLE[spec.family].generator(*spec.params)
+def generate(family: str, params: tuple[int, ...]) -> Graph:
+    """The graph of a family at params; DomainError names a bad family or count."""
+    fam = FAMILY_TABLE.get(family)
+    if fam is None:
+        raise DomainError(f"unknown family {family!r}; choose from {', '.join(FAMILIES)}")
+    if len(params) != len(fam.mins):
+        raise DomainError(f"{family} takes {len(fam.mins)} parameter(s) "
+                          f"({', '.join(fam.params)}), got {len(params)}")
+    return fam.generator(*params)
 
 
 def make(family: str, *params: int) -> Graph:
-    """Shorthand for ``generate(FamilySpec(family, params))``."""
-    return generate(FamilySpec(family, tuple(params)))
+    """``generate(family, params)``."""
+    return generate(family, params)
 
 
 def _check(family: str, *params: int) -> None:
-    FamilySpec(family, tuple(params))
+    """Raise DomainError unless each value is an int at or above its family minimum."""
+    fam = FAMILY_TABLE[family]
+    for name, lo, value in zip(fam.params, fam.mins, params):
+        if type(value) is not int or value < lo:
+            raise DomainError(f"{family} requires {name} >= {lo} (got {name}={value})")

@@ -69,6 +69,11 @@ def ng_check(g: Graph, budget: int | SearchBudget | None = None) -> NgReport:
     )
 
 
+def _check_triple(caller: str, n: int, a: int, b: int) -> None:
+    if not all(type(x) is int and x >= 1 for x in (n, a, b)):
+        raise DomainError(f"{caller} requires n, a, b >= 1 (got n={n}, a={a}, b={b})")
+
+
 def ng_feasible(n: int, a: int, b: int) -> bool:
     """True iff some graph of order n has chi(G) = a and chi(comp(G)) = b.
 
@@ -76,8 +81,7 @@ def ng_feasible(n: int, a: int, b: int) -> bool:
     bounds follow from the AM-GM inequality (a+b)^2 >= 4ab >= 4n and
     4ab <= (a+b)^2 <= (n+1)^2.
     """
-    if n < 1 or a < 1 or b < 1:
-        raise DomainError(f"ng_feasible requires n, a, b >= 1 (got n={n}, a={a}, b={b})")
+    _check_triple("ng_feasible", n, a, b)
     return a + b <= n + 1 and a * b >= n
 
 
@@ -88,8 +92,7 @@ def ng_construct(n: int, a: int, b: int) -> Graph:
     largest-first (the first clique has size exactly a).  Infeasible
     triples raise :class:`DomainError` naming the violated inequality.
     """
-    if n < 1 or a < 1 or b < 1:
-        raise DomainError(f"ng_construct requires n, a, b >= 1 (got n={n}, a={a}, b={b})")
+    _check_triple("ng_construct", n, a, b)
     if a + b > n + 1:
         raise DomainError(f"infeasible: a + b = {a + b} violates a + b <= n + 1 = {n + 1}")
     if a * b < n:

@@ -4,8 +4,7 @@ import pytest
 
 from chromalab import claims, families
 from chromalab.claims import (AuditRow, audit_bipartite_bounds, audit_family,
-                              claimed_value, mismatch_keys, registry,
-                              render_report)
+                              mismatch_keys, registry, render_report)
 from chromalab.errors import DomainError
 
 EXPECTED_CLAIM_IDS = {
@@ -37,8 +36,8 @@ def test_registry_checklist():
 
 
 def test_family_claims_share_one_domain():
-    # the audit starts each family at this point, and claimed_value reads
-    # every claim's domain from it
+    # the audit starts each family at this point, so every claim is read
+    # only inside its domain
     assert claims.AUDIT_FAMILIES == {
         "complete": (2,), "complete_bipartite": (1, 1), "star": (1,),
         "bistar": (1, 1), "wheel": (4,), "helm": (3,), "fan": (2,)}
@@ -79,7 +78,7 @@ CLAIMED_VALUES = [
 
 def test_claimed_value_examples():
     for cid, params, value in CLAIMED_VALUES:
-        assert claimed_value(_claim(cid), params) == value, (cid, params)
+        assert _claim(cid).value(*params) == value, (cid, params)
     # every claim is covered above at an even and at an odd last parameter,
     # each point inside the claim's domain
     covered = set()
@@ -88,11 +87,6 @@ def test_claimed_value_examples():
         assert all(p >= lo for p, lo in zip(params, mins)), (cid, params)
         covered.add((cid, params[-1] % 2))
     assert covered == {(c.id, parity) for c in registry() for parity in (0, 1)}
-    # outside the claim's domain -> undefined marker
-    assert claimed_value(_claim("complete.sum"), (1,)) is None
-    assert claimed_value(_claim("wheel.chi"), (3,)) is None
-    with pytest.raises(DomainError):
-        claimed_value(_claim("bistar.sum"), (2,))
 
 
 def test_audit_wheel_all_match():
@@ -140,7 +134,7 @@ def test_audit_budget_marks_rows():
     for r in rows:
         point = tuple(v for _, v in r.params)
         assert r.exact is None and r.witness == ""
-        assert r.claimed == claimed_value(_claim(r.claim_id), point)
+        assert r.claimed == _claim(r.claim_id).value(*point)
     # a bipartite row has no claimed range either
     rows = audit_bipartite_bounds(3, budget_limit=1)
     assert rows and all(r.verdict == claims.BUDGET_EXCEEDED for r in rows)

@@ -126,6 +126,30 @@ def test_fan_rule_and_infeasible_case():
         edge_color_fan(1)
 
 
+def test_rules_check_their_domain():
+    # a float n is outside every rule's domain, not a range() TypeError
+    for rule, n in ((edge_color_complete, 4.0), (edge_color_wheel, 4.0),
+                    (edge_color_helm, 4.0), (edge_color_fan, 3.0)):
+        with pytest.raises(DomainError):
+            rule(n)
+    # below the minimum, the family rules use the family's own message
+    with pytest.raises(DomainError, match=r"edge_color_complete requires n >= 2 \(got n=1\)"):
+        edge_color_complete(1)
+    with pytest.raises(DomainError, match=r"^wheel requires n >= 4 \(got n=3\)$"):
+        edge_color_wheel(3)
+    with pytest.raises(DomainError, match=r"^helm requires n >= 3 \(got n=2\)$"):
+        edge_color_helm(2)
+    with pytest.raises(DomainError, match=r"^fan requires n >= 2 \(got n=1\)$"):
+        edge_color_fan(1)
+    # the infeasible points carry their exact coloring
+    for rule, n, graph, exact in ((edge_color_helm, 3, families.helm(3), 4),
+                                  (edge_color_fan, 2, families.fan(2), 3)):
+        with pytest.raises(ConstructionInfeasibleError) as err:
+            rule(n)
+        assert err.value.exact_colors == exact
+        assert validate_edge_coloring(graph, err.value.exact_coloring)
+
+
 def test_family_rules_sweep_to_12():
     for n in range(4, 13):
         assert edge_color_wheel(n).num_colors == n - 1

@@ -102,9 +102,11 @@ def test_join_wheel_and_fan_counts():
 
 
 def test_join_hub_cycle_counts_sweep():
-    for n in range(4, 11):
+    for n in range(4, 41):
         g = join(Graph(1), families.cycle(n - 1))
         assert (g.order, g.num_edges) == (n, 2 * (n - 1))
+        assert g == families.wheel(n)
+        assert join(Graph(1), families.path(n - 1)) == families.fan(n - 1)
 
 
 def test_disjoint_union():

@@ -53,6 +53,15 @@ def test_ng_feasible_examples():
         ng_feasible(4, 1, 0)
 
 
+def test_ng_rejects_non_int_parameters():
+    # bools and floats are not counts: each used to pass the >= 1 test
+    for n, a, b in ((True, 1, 1), (4, 2.0, 2), (5, 2, 2.5), (5.0, 3, 2)):
+        with pytest.raises(DomainError, match=r"^ng_feasible requires n, a, b >= 1"):
+            ng_feasible(n, a, b)
+        with pytest.raises(DomainError, match=r"^ng_construct requires n, a, b >= 1"):
+            ng_construct(n, a, b)
+
+
 def test_feasibility_implies_all_four_inequalities():
     # the two checked inequalities entail the other two; verify, don't assume
     for n in range(1, 13):
