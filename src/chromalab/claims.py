@@ -123,12 +123,12 @@ def claims_for(family: str) -> tuple[Claim, ...]:
 
 
 #: Families that have registered claims, in family-table order, with the
-#: smallest parameter point audited; every claim of a family holds from
-#: there (chi_line needs at least one edge, so complete graphs start at
-#: n = 2).
+#: smallest parameter point audited, from which every claim of the family
+#: holds: the family-table minimums, except that chi_line needs at least
+#: one edge, so complete graphs start at n = 2.
 AUDIT_FAMILIES: dict[str, tuple[int, ...]] = {
-    "complete": (2,), "complete_bipartite": (1, 1), "star": (1,),
-    "bistar": (1, 1), "wheel": (4,), "helm": (3,), "fan": (2,)}
+    name: {"complete": (2,)}.get(name, family.mins)
+    for name, family in families.FAMILY_TABLE.items() if claims_for(name)}
 
 
 @dataclass(frozen=True)

@@ -119,45 +119,38 @@ def cmd_edge_color(args) -> int:
     return EXIT_OK
 
 
-def _ng_report_text(r: NgReport) -> str:
-    def flag(ok: bool) -> str:
-        return "ok" if ok else "VIOLATED"
-    n = r.order
-    return "\n".join([
-        f"order: {n}",
-        f"chi: {r.chi}",
-        f"chi_complement: {r.chi_comp}",
-        f"sum: {r.chi_sum}",
-        f"product: {r.chi_product}",
-        f"bound sum^2 >= 4n: {flag(r.sum_lower_ok)} ({r.chi_sum * r.chi_sum} >= {4 * n})",
-        f"bound sum <= n+1: {flag(r.sum_upper_ok)} ({r.chi_sum} <= {n + 1})",
-        f"bound product >= n: {flag(r.product_lower_ok)} ({r.chi_product} >= {n})",
-        f"bound 4*product <= (n+1)^2: {flag(r.product_upper_ok)} "
-        f"({4 * r.chi_product} <= {(n + 1) ** 2})",
-    ]) + "\n"
+def _ng_fields(r: NgReport) -> list[tuple[str, int | bool, str]]:
+    """The nine ``ng check`` fields in output order: JSON key, value, text line."""
+    n, s, p = r.order, r.chi_sum, r.chi_product
+    fields = [(key, value, f"{key}: {value}") for key, value in (
+        ("order", n), ("chi", r.chi), ("chi_complement", r.chi_comp), ("sum", s), ("product", p))]
+    for key, rule, terms in (  # each bound's key names its NgReport verdict
+            ("sum_lower_ok", "sum^2 >= 4n", f"{s * s} >= {4 * n}"),
+            ("sum_upper_ok", "sum <= n+1", f"{s} <= {n + 1}"),
+            ("product_lower_ok", "product >= n", f"{p} >= {n}"),
+            ("product_upper_ok", "4*product <= (n+1)^2", f"{4 * p} <= {(n + 1) ** 2}")):
+        ok = getattr(r, key)
+        fields.append((key, ok, f"bound {rule}: {'ok' if ok else 'VIOLATED'} ({terms})"))
+    return fields
 
 
-def cmd_ng(args) -> int:
-    if args.ng_command == "check":
-        g = read_edge_list(args.file)
-        report = ng_check(g, args.budget)
-        if args.format == "json":
-            payload = {"order": report.order, "chi": report.chi,
-                       "chi_complement": report.chi_comp, "sum": report.chi_sum,
-                       "product": report.chi_product,
-                       "sum_lower_ok": report.sum_lower_ok,
-                       "sum_upper_ok": report.sum_upper_ok,
-                       "product_lower_ok": report.product_lower_ok,
-                       "product_upper_ok": report.product_upper_ok}
-            sys.stdout.write(json.dumps(payload) + "\n")
-        else:
-            sys.stdout.write(_ng_report_text(report))
-        return EXIT_OK if report.all_bounds_ok else EXIT_MISMATCH
-    if args.ng_command == "feasible":
-        print("true" if ng_feasible(args.n, args.a, args.b) else "false")
-        return EXIT_OK
-    g = ng_construct(args.n, args.a, args.b)
-    _emit(format_edge_list(g), args.out)
+def cmd_ng_check(args) -> int:
+    report = ng_check(read_edge_list(args.file), args.budget)
+    fields = _ng_fields(report)
+    if args.format == "json":
+        sys.stdout.write(json.dumps({key: value for key, value, _ in fields}) + "\n")
+    else:
+        sys.stdout.write("".join(line + "\n" for _, _, line in fields))
+    return EXIT_OK if report.all_bounds_ok else EXIT_MISMATCH
+
+
+def cmd_ng_feasible(args) -> int:
+    print("true" if ng_feasible(args.n, args.a, args.b) else "false")
+    return EXIT_OK
+
+
+def cmd_ng_construct(args) -> int:
+    _emit(format_edge_list(ng_construct(args.n, args.a, args.b)), args.out)
     return EXIT_OK
 
 
@@ -208,11 +201,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="chromalab",
         description="Exact graph-coloring toolkit and closed-form claims audit.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    # FILE, --format and --budget of the exact solvers chi, chi-index and ng check
-    solve = argparse.ArgumentParser(add_help=False)
+    # --format and --budget of chi, chi-index, ng check and edge-color
+    solve_opts = argparse.ArgumentParser(add_help=False)
+    solve_opts.add_argument("--format", choices=("text", "json"), default="text")
+    solve_opts.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
+    # FILE of the exact solvers chi, chi-index and ng check
+    solve = argparse.ArgumentParser(add_help=False, parents=[solve_opts])
     solve.add_argument("file")
-    solve.add_argument("--format", choices=("text", "json"), default="text")
-    solve.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
+    # n a b of ng feasible and ng construct
+    ng_pair = argparse.ArgumentParser(add_help=False)
+    for name in ("n", "a", "b"):
+        ng_pair.add_argument(name, type=int)
 
     p = sub.add_parser("family", help="emit a named family graph as an edge list")
     p.add_argument("--name", required=True, choices=families.FAMILIES)
@@ -234,33 +233,29 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exact chromatic index of an edge-list file")
     p.set_defaults(handler=cmd_chi_index)
 
-    p = sub.add_parser("edge-color", help="edge-color a graph by a chosen method")
+    p = sub.add_parser("edge-color", parents=[solve_opts],
+                       help="edge-color a graph by a chosen method")
     p.add_argument("file", nargs="?")
     p.add_argument("--family", choices=families.FAMILIES)
     p.add_argument("--params")
+    # the closed-form rules: the FAMILY_TABLE rows that map an order to a parameter
+    rules = tuple(name for name, fam in families.FAMILY_TABLE.items() if fam.param_of_order)
     p.add_argument("--method", default="auto",
-                   choices=("auto", "konig", "complete", "wheel", "helm", "fan",
-                            "misra-gries", "exact"))
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
+                   choices=("auto", "konig") + rules + ("misra-gries", "exact"))
     p.set_defaults(handler=cmd_edge_color)
 
     p = sub.add_parser("ng", help="Nordhaus-Gaddum checks and constructions")
     ng_sub = p.add_subparsers(dest="ng_command", required=True)
     q = ng_sub.add_parser("check", parents=[solve],
                           help="exact bound report for a graph and its complement")
-    q.set_defaults(handler=cmd_ng)
-    q = ng_sub.add_parser("feasible", help="is (chi, chi_complement) = (a, b) realizable at order n?")
-    q.add_argument("n", type=int)
-    q.add_argument("a", type=int)
-    q.add_argument("b", type=int)
-    q.set_defaults(handler=cmd_ng)
-    q = ng_sub.add_parser("construct", help="build a graph of order n with chi=a, chi_complement=b")
-    q.add_argument("n", type=int)
-    q.add_argument("a", type=int)
-    q.add_argument("b", type=int)
+    q.set_defaults(handler=cmd_ng_check)
+    q = ng_sub.add_parser("feasible", parents=[ng_pair],
+                          help="is (chi, chi_complement) = (a, b) realizable at order n?")
+    q.set_defaults(handler=cmd_ng_feasible)
+    q = ng_sub.add_parser("construct", parents=[ng_pair],
+                          help="build a graph of order n with chi=a, chi_complement=b")
     q.add_argument("--out")
-    q.set_defaults(handler=cmd_ng)
+    q.set_defaults(handler=cmd_ng_construct)
 
     p = sub.add_parser("audit", help="audit registered closed-form claims against exact values")
     p.add_argument("--family", default="all", choices=("all",) + _AUDIT_ALL)

@@ -41,7 +41,7 @@ Searches are bounded by a node budget and raise
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 
 from .constructions import EdgeColoring, _konig_insertion, edge_color_misra_gries
@@ -283,36 +283,26 @@ def chromatic_index(g: Graph,
     return EdgeColoring(dict(zip(g.edges, witness.color_of)), witness.num_colors)
 
 
+def _uses_colors(colors: Collection[object], k: object) -> bool:
+    """True iff k is a non-negative int and the colors are ints that use
+    exactly 0..k-1 (bool is neither a color count nor a color)."""
+    if type(k) is not int or any(type(c) is not int for c in colors):
+        return False
+    used = set(colors)
+    # the count first: it rejects a negative k, and builds no range past the colors
+    return len(used) == k and used == set(range(k))
+
+
 def validate_vertex_coloring(g: Graph, c: VertexColoring) -> bool:
     """True iff c is proper on g and its color indices are contiguous and all used."""
-    if type(c.num_colors) is not int:  # bool is not a color count
-        return False
     colors = c.color_of
-    if len(colors) != g.order:
-        return False
-    if g.order == 0:
-        return c.num_colors == 0
-    if any(type(col) is not int or col < 0 for col in colors):
-        return False
-    if c.num_colors != max(colors) + 1:
-        return False
-    if set(colors) != set(range(c.num_colors)):
-        return False
-    return all(colors[u] != colors[v] for u, v in g.edges)
+    return (len(colors) == g.order and _uses_colors(colors, c.num_colors)
+            and all(colors[u] != colors[v] for u, v in g.edges))
 
 
 def validate_edge_coloring(g: Graph, c: EdgeColoring) -> bool:
     """True iff c colors exactly g's edges, properly at shared endpoints, contiguously."""
-    if type(c.num_colors) is not int:  # bool is not a color count
-        return False
-    if set(c.color_of) != set(g.edges):
-        return False
-    used = set(c.color_of.values())
-    if not g.edges:
-        return c.num_colors == 0
-    if any(type(col) is not int or col < 0 for col in used):
-        return False
-    if used != set(range(c.num_colors)):
+    if set(c.color_of) != set(g.edges) or not _uses_colors(c.color_of.values(), c.num_colors):
         return False
     seen_at: list[set[int]] = [set() for _ in range(g.order)]
     for (u, v), col in c.color_of.items():

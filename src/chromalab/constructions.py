@@ -163,6 +163,15 @@ def _hub_rule(k: int, closed: bool, pendants: bool) -> EdgeColoring:
     return EdgeColoring(color_of, k)
 
 
+def _infeasible(family: str, n: int, reason: str) -> ConstructionInfeasibleError:
+    """The error of the n-color hub rule at a family's one infeasible n,
+    carrying the exact Misra-Gries coloring of its graph."""
+    exact = edge_color_misra_gries(getattr(families, family)(n))
+    return ConstructionInfeasibleError(
+        f"the n-color {family} rule is infeasible at n={n}: {reason} and the "
+        f"exact chromatic index is {exact.num_colors}, not {n}", exact)
+
+
 def edge_color_wheel(n: int) -> EdgeColoring:
     """Color wheel(n) with n-1 colors by the hub rule."""
     families._check("wheel", n)
@@ -178,10 +187,7 @@ def edge_color_helm(n: int) -> EdgeColoring:
     """
     families._check("helm", n)
     if n == 3:
-        exact = edge_color_misra_gries(families.helm(3))
-        raise ConstructionInfeasibleError(
-            f"the n-color helm rule is infeasible at n=3: max degree is 4 and the "
-            f"exact chromatic index is {exact.num_colors}, not 3", exact)
+        raise _infeasible("helm", n, "max degree is 4")
     return _hub_rule(n, closed=True, pendants=True)
 
 
@@ -193,10 +199,7 @@ def edge_color_fan(n: int) -> EdgeColoring:
     """
     families._check("fan", n)
     if n == 2:
-        exact = edge_color_misra_gries(families.fan(2))
-        raise ConstructionInfeasibleError(
-            f"the n-color fan rule is infeasible at n=2: fan(2) is a triangle and the "
-            f"exact chromatic index is {exact.num_colors}, not 2", exact)
+        raise _infeasible("fan", n, "fan(2) is a triangle")
     return _hub_rule(n, closed=False, pendants=False)
 
 

@@ -7,6 +7,7 @@ order.  Graphs are values: hashable and compared by labeled equality.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -168,8 +169,9 @@ def parse_edge_list(text: str) -> Graph:
 
     Line 1 is ``<order> <edge_count>``; each following line is ``u v``.
     Lines starting with ``#`` and blank lines are ignored.  Reversed pairs
-    are normalized; self-loops, duplicates, out-of-range endpoints and
-    count mismatches raise :class:`EdgeListFormatError` with a line number.
+    are normalized; self-loops, duplicates, out-of-range endpoints, an
+    order past ``sys.maxsize`` and count mismatches raise
+    :class:`EdgeListFormatError` with a line number.
     """
     order = -1
     expected = -1
@@ -191,6 +193,8 @@ def parse_edge_list(text: str) -> Graph:
         if order < 0:
             if a < 0 or b < 0:
                 raise EdgeListFormatError(lineno, "order and edge count must be non-negative")
+            if a > sys.maxsize:
+                raise EdgeListFormatError(lineno, f"order {a} exceeds the platform's index range")
             order, expected = a, b
             continue
         if len(edges) == expected:

@@ -7,6 +7,7 @@ line graph map back to edge colorings deterministically.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain, combinations
@@ -28,12 +29,12 @@ def _line_pairs(g: Graph) -> Iterator[Edge]:
     one endpoint, so no pair comes twice.  Only :func:`line_graph` reads
     them; χ′'s Δ-search builds its masks from g's incidence masks instead.
     """
-    incident: list[list[int]] = [[] for _ in range(g.order)]
+    incident: defaultdict[int, list[int]] = defaultdict(list)  # edge endpoints only
     for i, (a, b) in enumerate(g.edges):
         incident[a].append(i)
         incident[b].append(i)
     # chained C iterators, not a generator: no Python frame resumes per pair
-    return chain.from_iterable(combinations(ids, 2) for ids in incident)
+    return chain.from_iterable(combinations(ids, 2) for ids in incident.values())
 
 
 def line_graph(g: Graph) -> LineGraphResult:

@@ -94,6 +94,9 @@ def test_edge_color_methods(c5_file, capsys):
     g = parse_edge_list(C5_TEXT)
     assert payload["colors"] <= 3
     assert set(coloring) == set(g.edges)
+    # the closed-form rule methods sit between konig and misra-gries
+    assert run(["edge-color", "--help"]) == 0
+    assert "{auto,konig,complete,wheel,helm,fan,misra-gries,exact}" in capsys.readouterr().out
 
 
 def test_edge_color_exact_method(c5_file, capsys):
@@ -382,3 +385,36 @@ def test_out_of_memory_exits_3_without_traceback(tmp_path):
                           capture_output=True, text=True, preexec_fn=limit, timeout=60)
     assert proc.returncode == 3
     assert proc.stderr == "error: out of memory\n"  # no traceback
+
+
+def _run_capped(argv):
+    """Run the CLI in a subprocess under a 400 MB address-space cap."""
+    resource = pytest.importorskip("resource")
+    cap = 400_000 * 1024
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    return subprocess.run([sys.executable, "-m", "chromalab.cli", *argv],
+                          capture_output=True, text=True, preexec_fn=limit, timeout=60)
+
+
+def test_order_past_index_range_is_a_format_error(tmp_path):
+    """An order too large to index is a malformed header: exit 2 with one
+    error line, not the audit-mismatch exit 1 of an OverflowError."""
+    header = tmp_path / "huge.txt"
+    header.write_text("99999999999999999999 0\n")
+    proc = _run_capped(["chi", str(header)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: line 1:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_linegraph_of_huge_edgeless_header_allocates_nothing_per_vertex(tmp_path):
+    """L(G) of an edgeless graph is the empty graph whatever G's order, so
+    linegraph answers at once inside a 400 MB address space."""
+    header = tmp_path / "wide.txt"
+    header.write_text("1000000000000 0\n")
+    proc = _run_capped(["linegraph", str(header)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 0\n"

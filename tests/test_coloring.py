@@ -146,6 +146,11 @@ def test_validate_vertex_coloring():
     # bool is not a color count
     assert not validate_vertex_coloring(Graph(1), VertexColoring((0,), True))
     assert not validate_vertex_coloring(Graph(0), VertexColoring((), False))
+    # a color count is never negative, even with no colors to use
+    assert not validate_vertex_coloring(Graph(0), VertexColoring((), -1))
+    # a negative color and a float color are not color indices
+    assert not validate_vertex_coloring(families.complete(2), VertexColoring((-1, 0), 1))
+    assert not validate_vertex_coloring(families.complete(2), VertexColoring((0, 1.0), 2))
 
 
 def test_validate_edge_coloring():
@@ -159,6 +164,9 @@ def test_validate_edge_coloring():
     assert not validate_edge_coloring(p3, EdgeColoring({(0, 1): 0}, 1))
     assert not validate_edge_coloring(p3, EdgeColoring({(0, 1): False, (1, 2): True}, 2))
     assert not validate_edge_coloring(families.path(2), EdgeColoring({(0, 1): 0}, True))
+    assert not validate_edge_coloring(Graph(3), EdgeColoring({}, -1))
+    assert not validate_edge_coloring(p3, EdgeColoring({(0, 1): -1, (1, 2): 0}, 1))
+    assert not validate_edge_coloring(p3, EdgeColoring({(0, 1): 0, (1, 2): 1.0}, 2))
 
 
 def test_validators_reject_branches():

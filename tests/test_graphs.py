@@ -223,6 +223,7 @@ def test_edge_list_comments_and_reversed_pairs():
     ("3 1\n0 7\n", 2),            # out of range
     ("3 2\n0 1\n1 0\n", 3),       # duplicate after normalization
     ("x y\n", 1),                 # non-integer header
+    ("99999999999999999999 0\n", 1),  # order past the platform's index range
 ])
 def test_edge_list_errors_carry_line_numbers(text, bad_line):
     with pytest.raises(EdgeListFormatError) as err:
