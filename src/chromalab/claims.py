@@ -20,6 +20,7 @@ sum/product claims (the stated ``n+4``/``3(n+1)`` and the derived
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable
@@ -208,6 +209,8 @@ def audit_family(family: str, max_param: int,
     if family not in AUDIT_FAMILIES:
         raise DomainError(f"no registered claims for family {family!r}; "
                           f"choose from {', '.join(AUDIT_FAMILIES)}")
+    if max_param > sys.maxsize:  # the same rule as an edge-list header's order
+        raise DomainError(f"largest parameter {max_param} exceeds the platform's index range")
     return [row for point in _param_points(family, max_param)
             for row in _audit_point(family, point, budget_limit)]
 

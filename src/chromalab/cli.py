@@ -121,17 +121,11 @@ def cmd_edge_color(args) -> int:
 
 def _ng_fields(r: NgReport) -> list[tuple[str, int | bool, str]]:
     """The nine ``ng check`` fields in output order: JSON key, value, text line."""
-    n, s, p = r.order, r.chi_sum, r.chi_product
     fields = [(key, value, f"{key}: {value}") for key, value in (
-        ("order", n), ("chi", r.chi), ("chi_complement", r.chi_comp), ("sum", s), ("product", p))]
-    for key, rule, terms in (  # each bound's key names its NgReport verdict
-            ("sum_lower_ok", "sum^2 >= 4n", f"{s * s} >= {4 * n}"),
-            ("sum_upper_ok", "sum <= n+1", f"{s} <= {n + 1}"),
-            ("product_lower_ok", "product >= n", f"{p} >= {n}"),
-            ("product_upper_ok", "4*product <= (n+1)^2", f"{4 * p} <= {(n + 1) ** 2}")):
-        ok = getattr(r, key)
-        fields.append((key, ok, f"bound {rule}: {'ok' if ok else 'VIOLATED'} ({terms})"))
-    return fields
+        ("order", r.order), ("chi", r.chi), ("chi_complement", r.chi_comp),
+        ("sum", r.chi_sum), ("product", r.chi_product))]
+    return fields + [(key, ok, f"bound {rule}: {'ok' if ok else 'VIOLATED'} ({lhs} {rel} {rhs})")
+                     for key, rule, ok, lhs, rel, rhs in r.bounds()]
 
 
 def cmd_ng_check(args) -> int:

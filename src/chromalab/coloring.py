@@ -66,9 +66,12 @@ class SearchBudget:
         self.limit = limit
         self.nodes = 0
 
-    def spend(self) -> None:
-        self.nodes += 1
+    def spend(self, nodes: int = 1) -> None:
+        """Charge ``nodes`` search nodes; past the limit, raise with the count
+        at which charging them one at a time would have raised."""
+        self.nodes += nodes
         if self.nodes > self.limit:
+            self.nodes = max(self.nodes - nodes, self.limit) + 1
             raise BudgetExceededError(
                 f"solver budget exceeded: more than {self.limit} search nodes")
 
@@ -247,11 +250,7 @@ def chromatic_number(g: Graph,
     if low == 2:
         side = _two_coloring(g.adjacency_masks, reversed(vertex))
         if side is not None:
-            n = g.order
-            if bud.nodes + n > bud.limit:  # raise where one spend() per node would
-                bud.nodes = max(bud.nodes, bud.limit)
-                bud.spend()
-            bud.nodes += n
+            bud.spend(g.order)
             return VertexColoring(tuple(side), 2)
     return _dsatur(vertex, adj, low, g.order, bud)
 

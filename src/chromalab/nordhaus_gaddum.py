@@ -6,10 +6,9 @@ For a graph of order n the classical bounds are
     n <= chi(G) * chi(comp(G)) <= (n + 1)^2 / 4
 
 and every pair (a, b) satisfying them is realized by some graph of order
-n.  The irrational and rational bounds are never evaluated in floating
-point: ``sum >= 2*sqrt(n)`` is checked as ``sum^2 >= 4n`` and
-``product <= (n+1)^2/4`` as ``4*product <= (n+1)^2``, so verdicts are
-bit-exact.
+n.  :meth:`NgReport.bounds` states the four bounds once, as integer
+comparisons: the irrational bound is squared and the rational one scaled
+by 4, so verdicts are bit-exact.
 
 ``ng_construct`` realizes a feasible pair (a, b) as a disjoint union of b
 cliques with largest size a: the chromatic number of a clique union is
@@ -29,26 +28,32 @@ from .graphs import Graph, complement, disjoint_union
 
 @dataclass(frozen=True)
 class NgReport:
-    """Exact chromatic data for a graph/complement pair plus bound verdicts."""
+    """Exact chromatic data for a graph/complement pair; :meth:`bounds` judges it."""
 
     order: int
     chi: int
     chi_comp: int
     chi_sum: int
     chi_product: int
-    sum_lower_ok: bool       # chi_sum^2 >= 4 * order
-    sum_upper_ok: bool       # chi_sum <= order + 1
-    product_lower_ok: bool   # chi_product >= order
-    product_upper_ok: bool   # 4 * chi_product <= (order + 1)^2
+
+    def bounds(self) -> list[tuple[str, str, bool, int, str, int]]:
+        """The four bounds in output order, one row each: JSON key, printed
+        rule, verdict, and the two integer operands with their relation."""
+        n, s, p = self.order, self.chi_sum, self.chi_product
+        return [(key, rule, lhs >= rhs if rel == ">=" else lhs <= rhs, lhs, rel, rhs)
+                for key, rule, lhs, rel, rhs in (
+                    ("sum_lower_ok", "sum^2 >= 4n", s * s, ">=", 4 * n),
+                    ("sum_upper_ok", "sum <= n+1", s, "<=", n + 1),
+                    ("product_lower_ok", "product >= n", p, ">=", n),
+                    ("product_upper_ok", "4*product <= (n+1)^2", 4 * p, "<=", (n + 1) ** 2))]
 
     @property
     def all_bounds_ok(self) -> bool:
-        return (self.sum_lower_ok and self.sum_upper_ok
-                and self.product_lower_ok and self.product_upper_ok)
+        return all([ok for _, _, ok, _, _, _ in self.bounds()])
 
 
 def ng_check(g: Graph, budget: int | SearchBudget | None = None) -> NgReport:
-    """Compute chi(g) and chi(complement(g)) exactly and check all four bounds.
+    """Compute chi(g) and chi(complement(g)) exactly; the report judges all four bounds.
 
     Both solves draw on one node budget.
     """
@@ -58,15 +63,8 @@ def ng_check(g: Graph, budget: int | SearchBudget | None = None) -> NgReport:
     bud = _as_budget(budget)  # one budget for both solves, however it was given
     chi = chromatic_number(g, bud).num_colors
     chi_comp = chromatic_number(complement(g), bud).num_colors
-    s = chi + chi_comp
-    p = chi * chi_comp
-    return NgReport(
-        order=n, chi=chi, chi_comp=chi_comp, chi_sum=s, chi_product=p,
-        sum_lower_ok=s * s >= 4 * n,
-        sum_upper_ok=s <= n + 1,
-        product_lower_ok=p >= n,
-        product_upper_ok=4 * p <= (n + 1) ** 2,
-    )
+    return NgReport(order=n, chi=chi, chi_comp=chi_comp,
+                    chi_sum=chi + chi_comp, chi_product=chi * chi_comp)
 
 
 def _check_triple(caller: str, n: int, a: int, b: int) -> None:
@@ -77,12 +75,13 @@ def _check_triple(caller: str, n: int, a: int, b: int) -> None:
 def ng_feasible(n: int, a: int, b: int) -> bool:
     """True iff some graph of order n has chi(G) = a and chi(comp(G)) = b.
 
-    Checking ``a + b <= n + 1`` and ``a * b >= n`` suffices: the other two
-    bounds follow from the AM-GM inequality (a+b)^2 >= 4ab >= 4n and
+    That is, iff all four bounds hold at sum a + b and product a * b.
+    ``a + b <= n + 1`` and ``a * b >= n`` suffice: the other two bounds
+    follow from the AM-GM inequality (a+b)^2 >= 4ab >= 4n and
     4ab <= (a+b)^2 <= (n+1)^2.
     """
     _check_triple("ng_feasible", n, a, b)
-    return a + b <= n + 1 and a * b >= n
+    return NgReport(n, a, b, a + b, a * b).all_bounds_ok
 
 
 def ng_construct(n: int, a: int, b: int) -> Graph:

@@ -8,10 +8,11 @@ import pytest
 
 from test_coloring import odd_prism
 
-from chromalab import families
+from chromalab import cli, families
 from chromalab.cli import build_parser, run
 from chromalab.coloring import chromatic_number
 from chromalab.graphs import disjoint_union, parse_edge_list, write_edge_list
+from chromalab.nordhaus_gaddum import NgReport
 
 K5_TEXT = "5 10\n0 1\n0 2\n0 3\n0 4\n1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n"
 C5_TEXT = "5 5\n0 1\n0 4\n1 2\n2 3\n3 4\n"
@@ -162,6 +163,32 @@ def test_ng_check_golden(c5_file, capsys):
     assert run(["ng", "check", c5_file, "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["sum"] == 6 and payload["product_upper_ok"] is True
+
+
+@pytest.mark.parametrize("n, a, b, bounds", [
+    (5, 2, 2, ["bound sum^2 >= 4n: VIOLATED (16 >= 20)",
+               "bound sum <= n+1: ok (4 <= 6)",
+               "bound product >= n: VIOLATED (4 >= 5)",
+               "bound 4*product <= (n+1)^2: ok (16 <= 36)"]),
+    (3, 3, 3, ["bound sum^2 >= 4n: ok (36 >= 12)",
+               "bound sum <= n+1: VIOLATED (6 <= 4)",
+               "bound product >= n: ok (9 >= 3)",
+               "bound 4*product <= (n+1)^2: VIOLATED (36 <= 16)"]),
+])
+def test_ng_check_prints_violated_bounds(c5_file, monkeypatch, capsys, n, a, b, bounds):
+    """No graph breaks a bound, so ng check renders reports whose numbers
+    do: between them the two break each bound, and ng check exits 1."""
+    report = NgReport(order=n, chi=a, chi_comp=b, chi_sum=a + b, chi_product=a * b)
+    monkeypatch.setattr(cli, "ng_check", lambda g, budget: report)
+    assert run(["ng", "check", c5_file]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"order: {n}", f"chi: {a}", f"chi_complement: {b}",
+        f"sum: {a + b}", f"product: {a * b}"] + bounds
+    assert run(["ng", "check", c5_file, "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    keys = ["sum_lower_ok", "sum_upper_ok", "product_lower_ok", "product_upper_ok"]
+    assert list(payload)[5:] == keys
+    assert [payload[key] for key in keys] == [": ok " in line for line in bounds]
 
 
 def test_ng_feasible(capsys):
@@ -368,25 +395,6 @@ def test_console_entry_point():
     assert proc.stdout == "true\n"
 
 
-def test_out_of_memory_exits_3_without_traceback(tmp_path):
-    """Running out of memory is a resource limit, like the node budget: exit
-    3 and one error line.  ng check on the edgeless graph of order 3000
-    builds its complement K_3000, about 4.5M edge tuples, more than a
-    400 MB address space holds."""
-    resource = pytest.importorskip("resource")
-    header = tmp_path / "header.txt"
-    header.write_text("3000 0\n")
-    cap = 400_000 * 1024
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-    proc = subprocess.run([sys.executable, "-m", "chromalab.cli", "ng", "check", str(header)],
-                          capture_output=True, text=True, preexec_fn=limit, timeout=60)
-    assert proc.returncode == 3
-    assert proc.stderr == "error: out of memory\n"  # no traceback
-
-
 def _run_capped(argv):
     """Run the CLI in a subprocess under a 400 MB address-space cap."""
     resource = pytest.importorskip("resource")
@@ -399,6 +407,18 @@ def _run_capped(argv):
                           capture_output=True, text=True, preexec_fn=limit, timeout=60)
 
 
+def test_out_of_memory_exits_3_without_traceback(tmp_path):
+    """Running out of memory is a resource limit, like the node budget: exit
+    3 and one error line.  ng check on the edgeless graph of order 3000
+    builds its complement K_3000, about 4.5M edge tuples, more than a
+    400 MB address space holds."""
+    header = tmp_path / "header.txt"
+    header.write_text("3000 0\n")
+    proc = _run_capped(["ng", "check", str(header)])
+    assert proc.returncode == 3
+    assert proc.stderr == "error: out of memory\n"  # no traceback
+
+
 def test_order_past_index_range_is_a_format_error(tmp_path):
     """An order too large to index is a malformed header: exit 2 with one
     error line, not the audit-mismatch exit 1 of an OverflowError."""
@@ -408,6 +428,16 @@ def test_order_past_index_range_is_a_format_error(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: line 1:") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_audit_max_past_index_range_is_a_domain_error():
+    """A largest parameter too large to index is out of domain, by the same
+    rule as an edge-list header's order: exit 2 with one error line, not
+    the audit-mismatch exit 1 of an OverflowError."""
+    proc = _run_capped(["audit", "--family", "star", "--max", "99999999999999999999"])
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: largest parameter 99999999999999999999 "
+                           "exceeds the platform's index range\n")
 
 
 def test_linegraph_of_huge_edgeless_header_allocates_nothing_per_vertex(tmp_path):

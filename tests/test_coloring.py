@@ -535,6 +535,27 @@ def test_two_colored_charges_one_node_per_vertex():
     assert shared.nodes == 100
 
 
+def _raises_budget(charge) -> bool:
+    try:
+        charge()
+    except BudgetExceededError:
+        return True
+    return False
+
+
+def test_spend_many_counts_like_single_spends():
+    """spend(n) raises, and leaves ``nodes``, as n calls of spend() do, also
+    on a budget that has raised before."""
+    for limit in (1, 3, 5):
+        for before in range(limit + 3):
+            for n in range(1, 7):
+                one, many = SearchBudget(limit), SearchBudget(limit)
+                one.nodes = many.nodes = before
+                raised = _raises_budget(lambda: [one.spend() for _ in range(n)])
+                assert _raises_budget(lambda: many.spend(n)) == raised, (limit, before, n)
+                assert many.nodes == one.nodes, (limit, before, n)
+
+
 def test_deep_searches_need_no_recursion():
     # each search is as deep as the graph's order, past the recursion limit
     for g, colors, nodes in ((families.cycle(5000), 2, 5000),

@@ -63,16 +63,16 @@ def test_ng_rejects_non_int_parameters():
 
 
 def test_feasibility_implies_all_four_inequalities():
-    # the two checked inequalities entail the other two; verify, don't assume
+    # ng_feasible is all four bounds, which by AM-GM are these two; check
+    # both equivalences rather than assume either
     for n in range(1, 13):
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                if ng_feasible(n, a, b):
-                    s, p = a + b, a * b
-                    assert s * s >= 4 * n
-                    assert s <= n + 1
-                    assert p >= n
-                    assert 4 * p <= (n + 1) ** 2
+        for a in range(1, n + 2):
+            for b in range(1, n + 2):
+                s, p = a + b, a * b
+                feasible = ng_feasible(n, a, b)
+                assert feasible == (s <= n + 1 and p >= n), (n, a, b)
+                assert feasible == (s * s >= 4 * n and s <= n + 1
+                                    and p >= n and 4 * p <= (n + 1) ** 2), (n, a, b)
 
 
 def test_ng_construct_examples():
