@@ -10,12 +10,13 @@ helm and fan rules check n with the family check, ``families._check``):
 * wheels, helms and fans by one offset rule on the spoke colors;
 * arbitrary graphs by Misra-Gries fan rotation, at most max degree + 1.
 
-The two insertion schemes share one partial-coloring core: a partner
-table (the neighbor reached from each vertex by each color) with set,
-unset, smallest free color, smallest common free color, and the one
-alternating-path flip.  König inserts an edge with a common free color,
-or else flips the path from v so the color free at u is free at v too.
-Misra-Gries flips the cd-path through u before its fan rotation.
+The two insertion schemes share one core: a partner table (the neighbor
+reached from each vertex by each color), the only store of the colors,
+with set, unset, smallest (common) free color, and a flip that swaps two
+colors along an alternating path in place.  König inserts an edge with a
+common free color, or else flips the path from v so the color free at u
+is free at v too.  Misra-Gries flips the cd-path through u before its
+fan rotation.
 
 The hub rule colors spoke j with color j, the rim or path edge leaving
 position j with color j+2, and the helm pendant at position j with color
@@ -76,22 +77,21 @@ class _PartialEdgeColoring:
     """A proper partial edge coloring of an order-n graph with a fixed palette.
 
     ``partner[x][c]`` is the neighbor joined to x by color c, or -1 when c
-    is free at x; ``color_of`` maps canonical edges to their colors.
+    is free at x.  It is the only store: an edge's color is its index in
+    either endpoint's row.
     """
 
-    __slots__ = ("partner", "color_of")
+    __slots__ = ("partner",)
 
     def __init__(self, order: int, palette: int):
         self.partner = [[-1] * palette for _ in range(order)]
-        self.color_of: dict[tuple[int, int], int] = {}
 
     def set(self, x: int, y: int, c: int) -> None:
-        self.color_of[(x, y) if x < y else (y, x)] = c
         self.partner[x][c] = y
         self.partner[y][c] = x
 
     def unset(self, x: int, y: int) -> int:
-        c = self.color_of.pop((x, y) if x < y else (y, x))
+        c = self.partner[x].index(y)
         self.partner[x][c] = -1
         self.partner[y][c] = -1
         return c
@@ -106,16 +106,18 @@ class _PartialEdgeColoring:
         return next((c for c in range(len(px)) if px[c] < 0 and py[c] < 0), None)
 
     def flip(self, x: int, a: int, b: int) -> None:
-        """Swap a and b on the maximal a/b alternating path that leaves x by color a."""
-        path = []  # (x, y, new color) along the path
-        while self.partner[x][a] >= 0:
-            y = self.partner[x][a]
-            path.append((x, y, b))
-            x, a, b = y, b, a
-        for x, y, _ in path:
-            self.unset(x, y)
-        for x, y, c in path:
-            self.set(x, y, c)
+        """Swap a and b on the maximal a/b alternating path that leaves x by
+        color a; b must be free at x, so the path is not a cycle."""
+        while x >= 0:
+            row = self.partner[x]
+            row[a], row[b] = row[b], row[a]
+            x, a, b = row[b], b, a  # row[b] is now the path's next vertex
+
+    def coloring(self) -> EdgeColoring:
+        """The coloring in the table; its color count is the number of distinct colors."""
+        color_of = {(x, y): c for x, row in enumerate(self.partner)
+                    for c, y in enumerate(row) if y > x}
+        return EdgeColoring(color_of, len(set(color_of.values())))
 
 
 def edge_color_bipartite_konig(g: Graph) -> EdgeColoring:
@@ -135,15 +137,14 @@ def edge_color_bipartite_konig(g: Graph) -> EdgeColoring:
 def _konig_insertion(g: Graph) -> EdgeColoring:
     """The insertion of :func:`edge_color_bipartite_konig` without its
     checks; g must be nonempty and bipartite."""
-    delta = max_degree(g)
-    pc = _PartialEdgeColoring(g.order, delta)
+    pc = _PartialEdgeColoring(g.order, max_degree(g))
     for u, v in g.edges:
         c = pc.common_free(u, v)
         if c is None:
             c = pc.free(u)
             pc.flip(v, c, pc.free(v))  # bipartiteness keeps the path off u
         pc.set(u, v, c)
-    return EdgeColoring(pc.color_of, delta)
+    return pc.coloring()
 
 
 def _hub_rule(k: int, closed: bool, pendants: bool) -> EdgeColoring:
@@ -211,12 +212,14 @@ def edge_color_misra_gries(g: Graph) -> EdgeColoring:
     maximal fan at u, make a color free at u by inverting the alternating
     cd-path through u, then rotate a fan prefix whose tip has that color
     free.  Deterministic given the canonical edge order (all scans are
-    ascending).  Used colors are remapped to a contiguous range at the end.
+    ascending).  The colors in use stay 0..k-1 with no renumbering: a
+    color enters only as the smallest (common) free one, the color a flip
+    frees goes at once to the inserted edge, and a rotation adds d.
     """
     if not g.edges:
         raise DomainError("edge_color_misra_gries requires at least one edge")
     pc = _PartialEdgeColoring(g.order, max_degree(g) + 1)
-    partner, color_of = pc.partner, pc.color_of
+    partner = pc.partner
     for u, v in g.edges:
         common = pc.common_free(u, v)
         if common is not None:
@@ -243,22 +246,14 @@ def edge_color_misra_gries(g: Graph) -> EdgeColoring:
         d = pc.free(fan[-1])
         if c != d:
             pc.flip(u, d, c)  # u has no c edge, so the path starts with d
-        # d is now free at u; pick the first fan vertex with d free whose
-        # prefix is still a fan under the current colors, then rotate
-        w_index = -1
-        for i, x in enumerate(fan):
-            if i > 0:
-                key = (u, x) if u < x else (x, u)
-                if partner[fan[i - 1]][color_of[key]] >= 0:
-                    break  # prefix fan property broken by the inversion
-            if partner[x][d] < 0:
-                w_index = i
-                break
-        assert w_index >= 0, "fan rotation invariant violated"
-        for j in range(w_index):
+        # d is now free at u, and the first fan vertex w with d free tips a
+        # fan.  The fan is maximal, so u's d-edge, if any, went to a fan
+        # vertex F_{j+1}, d was free at F_j, and the inversion recolored only
+        # that fan edge, to c.  If F_j is off the path, d is still free there.
+        # Else F_j is the path's far end, entered by a c-edge that is now d,
+        # so c is free at F_j: the whole fan stays one, d free at its tip.
+        w = next(i for i, x in enumerate(fan) if partner[x][d] < 0)
+        for j in range(w):
             pc.set(u, fan[j], pc.unset(u, fan[j + 1]))
-        pc.set(u, fan[w_index], d)
-
-    used = sorted(set(color_of.values()))
-    remap = {old: new for new, old in enumerate(used)}
-    return EdgeColoring({e: remap[c] for e, c in color_of.items()}, len(used))
+        pc.set(u, fan[w], d)
+    return pc.coloring()

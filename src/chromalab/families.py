@@ -23,6 +23,7 @@ call, checks each value against :data:`FAMILY_TABLE`.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -135,8 +136,11 @@ def make(family: str, *params: int) -> Graph:
 
 
 def _check(family: str, *params: int) -> None:
-    """Raise DomainError unless each value is an int at or above its family minimum."""
+    """Raise DomainError unless each value is an int at or above its family
+    minimum and at most ``sys.maxsize``, the rule of an edge-list order."""
     fam = FAMILY_TABLE[family]
     for name, lo, value in zip(fam.params, fam.mins, params):
         if type(value) is not int or value < lo:
             raise DomainError(f"{family} requires {name} >= {lo} (got {name}={value})")
+        if value > sys.maxsize:
+            raise DomainError(f"{family} parameter {name}={value} exceeds the platform's index range")

@@ -440,6 +440,23 @@ def test_audit_max_past_index_range_is_a_domain_error():
                            "exceeds the platform's index range\n")
 
 
+@pytest.mark.parametrize("family, argv", [
+    ("path", ["family", "--name", "path", "--params", "99999999999999999999"]),
+    ("complete_bipartite",
+     ["family", "--name", "complete_bipartite", "--params", "1,99999999999999999999"]),
+    ("fan", ["edge-color", "--family", "fan", "--params", "99999999999999999999",
+             "--method", "fan"]),
+])
+def test_family_parameter_past_index_range_is_a_domain_error(family, argv):
+    """A family parameter too large to index is out of domain, by the same
+    rule as an edge-list header's order: exit 2 with one error line before
+    anything is allocated, not exit 3 out of memory."""
+    proc = _run_capped(argv)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: {family} parameter n=99999999999999999999 "
+                           "exceeds the platform's index range\n")
+
+
 def test_linegraph_of_huge_edgeless_header_allocates_nothing_per_vertex(tmp_path):
     """L(G) of an edgeless graph is the empty graph whatever G's order, so
     linegraph answers at once inside a 400 MB address space."""

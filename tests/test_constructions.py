@@ -22,6 +22,9 @@ PETERSEN = Graph(10, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4),
 #: Digest of ``_witness_digest`` for the witnesses the constructions give today.
 WITNESS_DIGEST = "2e6b10def36b9fa91612f1c68dcb531cf718ac05549c3f8f9f935e8eda1ec181"
 
+#: Digest of ``_order6_digest``: every insertion witness at order 6.
+ORDER6_DIGEST = "4a5a5c9d4d128e8770ddd2178d870ed3e12440b168cbc48ab176d84951cf8fba"
+
 
 def _random_bipartite(rng, max_order=20):
     while True:
@@ -231,6 +234,27 @@ def _witness_digest() -> str:
 
 def test_construction_witnesses_byte_stable():
     assert _witness_digest() == WITNESS_DIGEST
+
+
+def _order6_digest() -> str:
+    """SHA-256 over the (method, num_colors, assignment) of Misra-Gries on
+    each of the 32,767 labeled graphs of order 6 with an edge, and of Konig
+    on the bipartite ones among them, so every flip and rotation at order 6
+    is pinned."""
+    h = hashlib.sha256()
+    for g in all_labeled_graphs(6):
+        if not g.edges:
+            continue
+        w = edge_color_misra_gries(g)
+        h.update(repr(("misra-gries", w.num_colors, w.assignment())).encode())
+        if bipartition(g) is not None:
+            w = edge_color_bipartite_konig(g)
+            h.update(repr(("konig", w.num_colors, w.assignment())).encode())
+    return h.hexdigest()
+
+
+def test_order6_insertion_witnesses_byte_stable():
+    assert _order6_digest() == ORDER6_DIGEST
 
 
 def test_constructions_import_nothing_from_coloring():
