@@ -38,11 +38,6 @@ class BenchError(Exception):
     """A perfbench run failed or read ``correct: false``."""
 
 
-def _spec() -> dict:
-    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _run(workload: str, seed: int, seconds: float) -> tuple[dict, int, str]:
     """One perfbench run: its final JSON object, node total and node digest."""
     proc = subprocess.run(
@@ -68,10 +63,18 @@ def _summary(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def collect(workloads: list[str], seeds=SEEDS, seconds: float | None = None) -> dict:
-    """Run every workload at every seed; raise BenchError on the first bad run."""
-    spec = _spec()
+def collect(workloads: list[str] | None = None, seeds=SEEDS,
+            seconds: float | None = None) -> dict:
+    """Run the workloads (default: every one in BENCHMARK.json) at every seed
+    for ``seconds`` (default: ``run_seconds``); raise BenchError on the
+    first bad run."""
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        spec = json.load(fh)
+    if workloads is None:
+        workloads = [w["name"] for w in spec["workloads"]]
     seconds = spec["run_seconds"] if seconds is None else seconds
+    commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
+                            capture_output=True, text=True).stdout.strip()
     out = {}
     for workload in workloads:
         runs = [_run(workload, seed, seconds) for seed in seeds]
@@ -84,8 +87,6 @@ def collect(workloads: list[str], seeds=SEEDS, seconds: float | None = None) -> 
             "nodes": {str(seed): {"total": total, "digest": digest}
                       for seed, (_, total, digest) in zip(seeds, runs)},
         }
-    commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
-                            capture_output=True, text=True).stdout.strip()
     return {"commit": commit, "python": platform.python_version(),
             "platform": platform.platform(), "cpus": os.cpu_count(),
             "seconds": seconds, "seeds": list(seeds), "workloads": out}
@@ -96,7 +97,7 @@ def main(argv=None) -> int:
     p.add_argument("--pr", type=int, required=True, help="number in the output name")
     args = p.parse_args(argv)
     try:
-        report = collect([w["name"] for w in _spec()["workloads"]])
+        report = collect()
     except BenchError as exc:
         print(f"emit: error: {exc}", file=sys.stderr)
         return 1
