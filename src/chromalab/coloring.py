@@ -9,8 +9,8 @@ bitmasks ordered by rank (degree descending, then index), built once
 per solve: each color has a blocked-color mask of the uncolored
 vertices with a neighbor of that color, and saturation is a binary
 counter sliced into one mask per bit, so coloring a vertex costs a few
-whole-mask operations.  The chromatic number is one search that climbs
-k from the greedy clique bound.  When that bound is 2, the BFS
+whole-mask operations.  One search decides one k; the chromatic number
+climbs k from the greedy clique bound.  When that bound is 2, the BFS
 two-coloring of :mod:`graphs`, rooted in rank order, first looks for the
 2-coloring the search would find without branching: the same witness,
 charged the same one node per vertex, so only input with an odd cycle is
@@ -113,7 +113,7 @@ def is_k_colorable(g: Graph, k: int,
         raise DomainError(f"color count must be an integer, got {k!r}")
     if k < 0:
         raise DomainError(f"color count must be >= 0, got {k}")
-    return _dsatur(*_ranked(g.degrees, g.edges), k, k, _as_budget(budget))
+    return _dsatur(*_ranked(g.degrees, g.edges), k, _as_budget(budget))
 
 
 def _rank(degree: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -164,21 +164,20 @@ def _clique(adj: Sequence[int]) -> int:
     return size
 
 
-def _dsatur(vertex: Sequence[int], adj: Sequence[int], k: int, last: int,
+def _dsatur(vertex: Sequence[int], adj: Sequence[int], k: int,
             bud: SearchBudget) -> VertexColoring | None:
-    """The first coloring found with at most k, k + 1, ..., ``last`` colors
-    on the masks of :func:`_ranked` or :func:`_line_ranked`, or None.
+    """The first coloring found with at most k colors on the masks of
+    :func:`_ranked` or :func:`_line_ranked`, or None.
 
     A pick takes a mask's highest bit.  ``blocked[c]`` holds the uncolored
     vertices with a neighbor colored c, and bit i of a vertex's saturation
     is its bit in ``sat[i]``.  A color blocks only the vertices it newly
-    blocks and its undo unblocks exactly those, so an empty stack has
-    every mark undone and each k costs the nodes of a fresh search.
+    blocks and its undo unblocks exactly those.
     Masks stay non-negative: CPython's bitwise operations copy and
     complement negative ints, which is several times slower on long masks.
     """
     n = len(vertex)
-    blocked = [0] * min(last, n)  # only colors below n can be used
+    blocked = [0] * min(k, n)  # only colors below n can be used
     sat = [0] * min(k, n - 1).bit_length()  # saturation <= min(k, degree)
     free = (1 << n) - 1  # uncolored vertices
     stack, used = [], 0  # frames (bit position, color, used-before, newly blocked)
@@ -208,10 +207,6 @@ def _dsatur(vertex: Sequence[int], adj: Sequence[int], k: int, last: int,
                     if not newly:
                         break
                 c += 1
-            elif k < last:  # k is refuted and every mark undone: restart p at k + 1
-                k, c = k + 1, 0
-                if min(k, n - 1).bit_length() > len(sat):
-                    sat.append(0)
             else:
                 return None
         bud.spend()
@@ -237,7 +232,7 @@ def chromatic_number(g: Graph,
                      budget: int | SearchBudget | None = None) -> VertexColoring:
     """Exact minimum vertex coloring; ``num_colors`` is the chromatic number.
 
-    One search climbs k from the greedy clique lower bound, under one
+    One search per k, from the greedy clique lower bound up, under one
     budget.  When that bound is 2, :func:`graphs._two_coloring` rooted in
     rank order answers bipartite input first: at k = 2 DSATUR never
     branches, so its witness is the distance parity from each component's
@@ -246,13 +241,15 @@ def chromatic_number(g: Graph,
     needs 0 colors and any edgeless nonempty graph needs 1.
     """
     vertex, adj = _ranked(g.degrees, g.edges)
-    low, bud = _clique(adj), _as_budget(budget)
-    if low == 2:
-        side = _two_coloring(g.adjacency_masks, reversed(vertex))
+    k, bud = _clique(adj), _as_budget(budget)
+    if k == 2:
+        side = _two_coloring(g, reversed(vertex))
         if side is not None:
             bud.spend(g.order)
             return VertexColoring(tuple(side), 2)
-    return _dsatur(vertex, adj, low, g.order, bud)
+    while (witness := _dsatur(vertex, adj, k, bud)) is None:
+        k += 1
+    return witness
 
 
 def chromatic_index(g: Graph,
@@ -276,7 +273,7 @@ def chromatic_index(g: Graph,
     delta = max(deg)
     if delta <= 2 or g.num_edges > delta * (g.order // 2):
         return edge_color_misra_gries(g)
-    witness = _dsatur(*_line_ranked(g), delta, delta, bud)
+    witness = _dsatur(*_line_ranked(g), delta, bud)
     if witness is None:
         return edge_color_misra_gries(g)
     return EdgeColoring(dict(zip(g.edges, witness.color_of)), witness.num_colors)

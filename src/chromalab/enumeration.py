@@ -3,7 +3,7 @@
 A graph of order n is encoded by a bitmask over the C(n, 2) vertex pairs
 in lexicographic order; mask bit i corresponds to ``vertex_pairs(n)[i]``.
 Enumeration order (ascending order, then ascending mask) is deterministic.
-Connected bipartite graphs are filtered by one layer BFS per candidate.
+Connected bipartite graphs are filtered by one BFS per candidate.
 """
 
 from __future__ import annotations
@@ -38,6 +38,6 @@ def connected_bipartite_graphs(max_order: int) -> Iterator[Graph]:
     """All connected bipartite labeled graphs with at least one edge, order <= max_order."""
     for n in range(2, max_order + 1):
         for g in all_labeled_graphs(n):
-            side = _two_coloring(g.adjacency_masks, (0,))
+            side = _two_coloring(g, (0,))
             if side is not None and -1 not in side:  # vertex 0 reaches every vertex
                 yield g

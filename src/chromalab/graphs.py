@@ -2,15 +2,17 @@
 
 Vertices are dense 0-based indices ``0..order-1``.  Edges are unordered
 pairs stored canonically as ``(u, v)`` with ``u < v``, in lexicographic
-order.  Graphs are values: hashable and compared by labeled equality.
+order, the only adjacency a graph holds.  Graphs are values: hashable
+and compared by labeled equality.
 """
 
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DomainError, EdgeListFormatError
 
@@ -72,29 +74,27 @@ class Graph:
         return len(self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
-        n = self.order  # range check first: masks[-1] would wrap around
-        return 0 <= u < n and 0 <= v < n and self.adjacency_masks[u] >> v & 1 == 1
-
-    @cached_property
-    def adjacency_masks(self) -> tuple[int, ...]:
-        """Per-vertex neighbor sets as bitmasks (bit u set iff u adjacent)."""
-        masks = [0] * self.order
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
+        pair = (u, v) if u < v else (v, u)
+        i = bisect_left(self.edges, pair)
+        return i < len(self.edges) and self.edges[i] == pair
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(map(int.bit_count, self.adjacency_masks))
+        deg = [0] * self.order
+        for u, v in self.edges:
+            deg[u] += 1
+            deg[v] += 1
+        return tuple(deg)
 
 
 def complement(g: Graph) -> Graph:
     """Graph on the same vertices whose edges are exactly the non-edges of g."""
-    masks, n = g.adjacency_masks, g.order
+    n, higher = g.order, [0] * g.order  # bit v of higher[u] set iff (u, v) is an edge
+    for u, v in g.edges:
+        higher[u] |= 1 << v
     # pairs come out in lexicographic order, so they are canonical already
     return Graph._from_canonical(n, tuple([(u, v) for u in range(n) for v in range(u + 1, n)
-                                           if not masks[u] >> v & 1]))
+                                           if not higher[u] >> v & 1]))
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -124,32 +124,31 @@ def max_degree(g: Graph) -> int:
     return max(g.degrees, default=0)
 
 
-def _two_coloring(masks: Sequence[int], roots: Iterable[int]) -> list[int] | None:
-    """Side (0 or 1) of each vertex by breadth-first search over adjacency
-    masks, or None at the first layer that holds an edge (an odd cycle).
+def _two_coloring(g: Graph, roots: Iterable[int]) -> list[int] | None:
+    """Side (0 or 1) of each vertex by breadth-first search over lists
+    built from ``g.edges`` in O(n + m), or None at an edge inside a side.
 
     Each root not yet reached, in the order given, starts a component on
     side 0, and a vertex's side is the parity of its distance from that
-    root.  A layer's bits are read from the top, so no mask is ever
-    negative.  Vertices that no root reaches keep side -1.
+    root.  Vertices that no root reaches keep side -1.
     """
-    side = [-1] * len(masks)
-    unseen = (1 << len(masks)) - 1
+    nbrs: list[list[int]] = [[] for _ in range(g.order)]
+    for u, v in g.edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    side = [-1] * g.order
     for root in roots:
         if side[root] >= 0:
             continue
-        layer, parity = 1 << root, 0
-        while layer:
-            unseen ^= layer
-            reach, rest = 0, layer
-            while rest:
-                p = rest.bit_length() - 1
-                rest ^= 1 << p
-                reach |= masks[p]
-                side[p] = parity
-            if reach & layer:
-                return None
-            layer, parity = reach & unseen, parity ^ 1
+        side[root] = 0
+        queue = [root]
+        for u in queue:  # the list grows while it is read: a FIFO queue
+            for v in nbrs[u]:
+                if side[v] < 0:
+                    side[v] = side[u] ^ 1
+                    queue.append(v)
+                elif side[v] == side[u]:  # an odd cycle
+                    return None
     return side
 
 
@@ -160,7 +159,7 @@ def bipartition(g: Graph) -> tuple[int, ...] | None:
     lowest-index vertex, found by :func:`_two_coloring`.  The order-0 graph
     gives the falsy ``()``, so callers test ``is None``.
     """
-    side = _two_coloring(g.adjacency_masks, range(g.order))
+    side = _two_coloring(g, range(g.order))
     return None if side is None else tuple(side)
 
 

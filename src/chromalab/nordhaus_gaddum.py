@@ -18,6 +18,7 @@ with chromatic number b.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .coloring import SearchBudget, _as_budget, chromatic_number
@@ -96,6 +97,8 @@ def ng_construct(n: int, a: int, b: int) -> Graph:
         raise DomainError(f"infeasible: a + b = {a + b} violates a + b <= n + 1 = {n + 1}")
     if a * b < n:
         raise DomainError(f"infeasible: a * b = {a * b} violates a * b >= n = {n}")
+    if n > sys.maxsize:  # the same rule as an edge-list header's order
+        raise DomainError(f"ng_construct order n={n} exceeds the platform's index range")
     sizes = []
     remaining = n
     for i in range(b):

@@ -457,6 +457,31 @@ def test_family_parameter_past_index_range_is_a_domain_error(family, argv):
                            "exceeds the platform's index range\n")
 
 
+def test_ng_construct_past_index_range_is_a_domain_error():
+    """A feasible order too large to index is out of domain for ng
+    construct, by the same rule as an edge-list header's order: exit 2 with
+    one error line before any clique size is listed, not exit 3 out of
+    memory."""
+    huge = "99999999999999999999"
+    proc = _run_capped(["ng", "construct", huge, "1", huge])
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: ng_construct order n={huge} "
+                           "exceeds the platform's index range\n")
+
+
+@pytest.mark.parametrize("command", ["chi-index", "edge-color"])
+def test_two_coloring_a_long_path_fits_in_memory(tmp_path, command):
+    """chi-index and edge-color two-color P_100000 before König certifies
+    its two colors.  The BFS reads adjacency lists built from the 99,999
+    edges, not n-bit masks (669 MB on this path), so both answer inside a
+    400 MB address space."""
+    path = tmp_path / "p100000.txt"
+    write_edge_list(families.path(100000), path)
+    proc = _run_capped([command, str(path)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "2\n"
+
+
 def test_linegraph_of_huge_edgeless_header_allocates_nothing_per_vertex(tmp_path):
     """L(G) of an edgeless graph is the empty graph whatever G's order, so
     linegraph answers at once inside a 400 MB address space."""

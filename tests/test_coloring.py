@@ -389,8 +389,8 @@ def test_refutation_node_counts():
 
 
 def test_chromatic_number_climbs_k_like_fresh_searches():
-    """One search climbing k from the clique bound spends exactly the nodes
-    of fresh is_k_colorable calls at each k up to χ, and returns the
+    """chromatic_number, climbing k from the clique bound, spends exactly the
+    nodes of fresh is_k_colorable calls at each k up to χ, and returns the
     witness of the call at χ: on seeded G(n, 1/2), three for each n = 6..30,
     and on Mycielski-5 (clique 2, χ 5)."""
     rng = random.Random(41)
@@ -412,7 +412,7 @@ def test_chromatic_number_climbs_k_like_fresh_searches():
 
 def _dsatur_run(degree, pairs, k):
     bud = SearchBudget()
-    return _dsatur(*_ranked(degree, pairs), k, k, bud), bud.nodes
+    return _dsatur(*_ranked(degree, pairs), k, bud), bud.nodes
 
 
 def test_dsatur_ignores_pair_order():
@@ -498,7 +498,10 @@ def test_two_colored_is_dsatur_at_two_colors():
             continue
         layered, searched = SearchBudget(), SearchBudget()
         w = chromatic_number(g, layered)
-        assert w == _dsatur(vertex, adj, 2, g.order, searched)
+        k = 2
+        while (witness := _dsatur(vertex, adj, k, searched)) is None:
+            k += 1
+        assert w == witness
         assert layered.nodes == searched.nodes
         refuted = w.num_colors > 2
         outcomes.add(refuted)
