@@ -10,13 +10,15 @@ helm and fan rules check n with the family check, ``families._check``):
 * wheels, helms and fans by one offset rule on the spoke colors;
 * arbitrary graphs by Misra-Gries fan rotation, at most max degree + 1.
 
-The two insertion schemes share one core: a partner table (the neighbor
-reached from each vertex by each color), the only store of the colors,
-with set, unset, smallest (common) free color, and a flip that swaps two
-colors along an alternating path in place.  König inserts an edge with a
-common free color, or else flips the path from v so the color free at u
-is free at v too.  Misra-Gries flips the cd-path through u before its
-fan rotation.
+The two insertion schemes share one core: a partner table, one dict per
+vertex from each color used there to the neighbor it reaches, the only
+store of the colors and one entry per colored edge end, with set, unset,
+the smallest color free at two vertices (or at one, given twice), and a
+flip that swaps two colors along an alternating path in place.  Each
+insertion bounds its own palette: König inserts an edge with a common
+free color below the max degree, or else flips the path from v so the
+color free at u is free at v too.  Misra-Gries flips the cd-path through
+u before its fan rotation.
 
 The hub rule colors spoke j with color j, the rim or path edge leaving
 position j with color j+2, and the helm pendant at position j with color
@@ -74,49 +76,50 @@ def edge_color_complete(n: int) -> EdgeColoring:
 
 
 class _PartialEdgeColoring:
-    """A proper partial edge coloring of an order-n graph with a fixed palette.
+    """A proper partial edge coloring of an order-n graph.
 
-    ``partner[x][c]`` is the neighbor joined to x by color c, or -1 when c
-    is free at x.  It is the only store: an edge's color is its index in
+    ``partner[x]`` maps each color used at x to the neighbor that color
+    joins x to; a color missing from it is free at x.  It is the only
+    store, one entry per colored edge end: an edge's color is its key in
     either endpoint's row.
     """
 
     __slots__ = ("partner",)
 
-    def __init__(self, order: int, palette: int):
-        self.partner = [[-1] * palette for _ in range(order)]
+    def __init__(self, order: int):
+        self.partner = [{} for _ in range(order)]
 
     def set(self, x: int, y: int, c: int) -> None:
         self.partner[x][c] = y
         self.partner[y][c] = x
 
     def unset(self, x: int, y: int) -> int:
-        c = self.partner[x].index(y)
-        self.partner[x][c] = -1
-        self.partner[y][c] = -1
+        c = next(c for c, z in self.partner[x].items() if z == y)
+        del self.partner[x][c], self.partner[y][c]
         return c
 
-    def free(self, x: int) -> int:
-        """Smallest color free at x."""
-        return self.partner[x].index(-1)
-
-    def common_free(self, x: int, y: int) -> int | None:
-        """Smallest color free at both x and y, or None."""
+    def common_free(self, x: int, y: int) -> int:
+        """Smallest color free at both x and y; ``common_free(x, x)`` is
+        the smallest color free at x."""
         px, py = self.partner[x], self.partner[y]
-        return next((c for c in range(len(px)) if px[c] < 0 and py[c] < 0), None)
+        c = 0
+        while c in px or c in py:
+            c += 1
+        return c
 
     def flip(self, x: int, a: int, b: int) -> None:
         """Swap a and b on the maximal a/b alternating path that leaves x by
         color a; b must be free at x, so the path is not a cycle."""
-        while x >= 0:
+        while x is not None:
             row = self.partner[x]
-            row[a], row[b] = row[b], row[a]
-            x, a, b = row[b], b, a  # row[b] is now the path's next vertex
+            nxt, prev = row.pop(a, None), row.pop(b, None)
+            row.update((c, y) for c, y in ((b, nxt), (a, prev)) if y is not None)
+            x, a, b = nxt, b, a  # the popped a-neighbor is the path's next vertex
 
     def coloring(self) -> EdgeColoring:
         """The coloring in the table; its color count is the number of distinct colors."""
         color_of = {(x, y): c for x, row in enumerate(self.partner)
-                    for c, y in enumerate(row) if y > x}
+                    for c, y in row.items() if y > x}
         return EdgeColoring(color_of, len(set(color_of.values())))
 
 
@@ -137,12 +140,13 @@ def edge_color_bipartite_konig(g: Graph) -> EdgeColoring:
 def _konig_insertion(g: Graph) -> EdgeColoring:
     """The insertion of :func:`edge_color_bipartite_konig` without its
     checks; g must be nonempty and bipartite."""
-    pc = _PartialEdgeColoring(g.order, max_degree(g))
+    delta = max_degree(g)
+    pc = _PartialEdgeColoring(g.order)
     for u, v in g.edges:
         c = pc.common_free(u, v)
-        if c is None:
-            c = pc.free(u)
-            pc.flip(v, c, pc.free(v))  # bipartiteness keeps the path off u
+        if c >= delta:  # no common free color among the delta
+            c = pc.common_free(u, u)
+            pc.flip(v, c, pc.common_free(v, v))  # bipartiteness keeps the path off u
         pc.set(u, v, c)
     return pc.coloring()
 
@@ -218,32 +222,27 @@ def edge_color_misra_gries(g: Graph) -> EdgeColoring:
     """
     if not g.edges:
         raise DomainError("edge_color_misra_gries requires at least one edge")
-    pc = _PartialEdgeColoring(g.order, max_degree(g) + 1)
+    delta = max_degree(g)
+    pc = _PartialEdgeColoring(g.order)
     partner = pc.partner
     for u, v in g.edges:
         common = pc.common_free(u, v)
-        if common is not None:
+        if common <= delta:  # a common free color among the delta + 1
             pc.set(u, v, common)
             continue
         # maximal fan of u starting at v: each next edge's color is free
         # at the previous fan vertex; extend by the smallest such color
-        fan = [v]
-        in_fan = {v}
+        fan, in_fan = [v], {v}
         while True:
-            last = fan[-1]
-            ext = -1
-            for c, y in enumerate(partner[last]):
-                if y < 0:
-                    x = partner[u][c]
-                    if x >= 0 and x not in in_fan:
-                        ext = x
-                        break
-            if ext < 0:
+            last = partner[fan[-1]]
+            _, ext = min(((c, x) for c, x in partner[u].items()
+                          if c not in last and x not in in_fan), default=(None, None))
+            if ext is None:
                 break
             fan.append(ext)
             in_fan.add(ext)
-        c = pc.free(u)
-        d = pc.free(fan[-1])
+        c = pc.common_free(u, u)
+        d = pc.common_free(fan[-1], fan[-1])
         if c != d:
             pc.flip(u, d, c)  # u has no c edge, so the path starts with d
         # d is now free at u, and the first fan vertex w with d free tips a
@@ -252,7 +251,7 @@ def edge_color_misra_gries(g: Graph) -> EdgeColoring:
         # that fan edge, to c.  If F_j is off the path, d is still free there.
         # Else F_j is the path's far end, entered by a c-edge that is now d,
         # so c is free at F_j: the whole fan stays one, d free at its tip.
-        w = next(i for i, x in enumerate(fan) if partner[x][d] < 0)
+        w = next(i for i, x in enumerate(fan) if d not in partner[x])
         for j in range(w):
             pc.set(u, fan[j], pc.unset(u, fan[j + 1]))
         pc.set(u, fan[w], d)

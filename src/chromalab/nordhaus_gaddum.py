@@ -34,8 +34,14 @@ class NgReport:
     order: int
     chi: int
     chi_comp: int
-    chi_sum: int
-    chi_product: int
+
+    @property
+    def chi_sum(self) -> int:
+        return self.chi + self.chi_comp
+
+    @property
+    def chi_product(self) -> int:
+        return self.chi * self.chi_comp
 
     def bounds(self) -> list[tuple[str, str, bool, int, str, int]]:
         """The four bounds in output order, one row each: JSON key, printed
@@ -64,8 +70,7 @@ def ng_check(g: Graph, budget: int | SearchBudget | None = None) -> NgReport:
     bud = _as_budget(budget)  # one budget for both solves, however it was given
     chi = chromatic_number(g, bud).num_colors
     chi_comp = chromatic_number(complement(g), bud).num_colors
-    return NgReport(order=n, chi=chi, chi_comp=chi_comp,
-                    chi_sum=chi + chi_comp, chi_product=chi * chi_comp)
+    return NgReport(order=n, chi=chi, chi_comp=chi_comp)
 
 
 def _check_triple(caller: str, n: int, a: int, b: int) -> None:
@@ -82,7 +87,7 @@ def ng_feasible(n: int, a: int, b: int) -> bool:
     4ab <= (a+b)^2 <= (n+1)^2.
     """
     _check_triple("ng_feasible", n, a, b)
-    return NgReport(n, a, b, a + b, a * b).all_bounds_ok
+    return NgReport(n, a, b).all_bounds_ok
 
 
 def ng_construct(n: int, a: int, b: int) -> Graph:
