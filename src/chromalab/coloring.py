@@ -10,12 +10,13 @@ per solve: each color has a blocked-color mask of the uncolored
 vertices with a neighbor of that color, and saturation is a binary
 counter sliced into one mask per bit, so coloring a vertex costs a few
 whole-mask operations.  One search decides one k; the chromatic number
-climbs k from the greedy clique bound.  When that bound is 2, the BFS
-two-coloring of :mod:`graphs`, rooted in rank order, first looks for the
-2-coloring the search would find without branching: the same witness,
-charged the same one node per vertex, so only input with an odd cycle is
-searched.  All tie-breaking is fixed, so returned witnesses are
-byte-stable across runs.
+climbs k from the greedy clique bound.  Structure comes first: on a
+graph with an edge, the BFS two-coloring of :mod:`graphs`, rooted in rank
+order, looks for the 2-coloring the search would find without branching,
+the same witness charged the same one node per vertex, before any mask
+is built.  So bipartite input takes O(n + m) memory, and only input with
+an odd cycle builds masks and is searched.  All tie-breaking is fixed, so
+returned witnesses are byte-stable across runs.
 
 The chromatic index is certified before it is searched.  Vizing's
 theorem puts it at the maximum degree Δ or at Δ+1, so the certificates
@@ -33,7 +34,8 @@ masks, read straight from G with no line graph built: each edge's mask
 is the OR of its endpoints' incidence masks, so building them costs O(m)
 whole-mask operations, not one step per line-graph edge.  Its witness
 maps back through G's edge order; when that search is exhausted, Δ+1 is
-exact (Misra-Gries witness).
+exact.  Cases 2 and 3 and the exhausted search share one Misra-Gries
+return.
 
 Searches are bounded by a node budget and raise
 :class:`BudgetExceededError` rather than running unbounded.
@@ -99,7 +101,7 @@ def greedy_clique_lower_bound(g: Graph) -> int:
     common neighbor, ties to the lowest index: on rank masks, the highest
     bit left each time.  Returns 0 only for the order-0 graph.
     """
-    return _clique(_ranked(g.degrees, g.edges)[1])
+    return _clique(_ranked(_rank(g.degrees), g.edges))
 
 
 def is_k_colorable(g: Graph, k: int,
@@ -113,46 +115,44 @@ def is_k_colorable(g: Graph, k: int,
         raise DomainError(f"color count must be an integer, got {k!r}")
     if k < 0:
         raise DomainError(f"color count must be >= 0, got {k}")
-    return _dsatur(*_ranked(g.degrees, g.edges), k, _as_budget(budget))
+    vertex = _rank(g.degrees)
+    return _dsatur(vertex, _ranked(vertex, g.edges), k, _as_budget(budget))
 
 
-def _rank(degree: Sequence[int]) -> tuple[list[int], list[int]]:
-    """``vertex[p]``, the vertex on bit p, and ``bit[v]``, the bit of vertex v,
-    with rank 0 (degree descending, then index) on the top bit."""
-    n = len(degree)
+def _rank(degree: Sequence[int]) -> list[int]:
+    """``vertex[p]``, the vertex on bit p, with rank 0 (degree descending,
+    then index) on the top bit: the one rank rule of both searches."""
     # degree ascending, ties by index descending: bit p holds rank n - 1 - p
-    vertex = sorted(reversed(range(n)), key=degree.__getitem__)
-    bit = [0] * n
+    return sorted(reversed(range(len(degree))), key=degree.__getitem__)
+
+
+def _ranked(vertex: Sequence[int], pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """``adj[p]``, the adjacency mask of ``vertex[p]`` over the pairs (in
+    any order), on the bits of :func:`_rank`'s order ``vertex``."""
+    bit = [0] * len(vertex)
     for p, v in enumerate(vertex):
         bit[v] = 1 << p
-    return vertex, bit
-
-
-def _ranked(degree: Sequence[int],
-            pairs: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:
-    """:func:`_rank`'s ``vertex`` and ``adj[p]``, the adjacency mask of the
-    vertex on bit p over the pairs (in any order)."""
-    vertex, bit = _rank(degree)
-    mask = [0] * len(degree)
+    mask = [0] * len(vertex)
     for u, v in pairs:
         mask[u] |= bit[v]
         mask[v] |= bit[u]
-    return vertex, [mask[v] for v in vertex]
+    return [mask[v] for v in vertex]
 
 
 def _line_ranked(g: Graph) -> tuple[list[int], list[int]]:
-    """:func:`_ranked` for L(g), read from g: edge (a, b) has degree
-    deg(a) + deg(b) − 2, and its mask is the incidence masks of a and b
-    without its own bit.  Two distinct edges share at most one endpoint,
-    so these are the masks of L(g)'s pairs, in 3m whole-mask operations."""
+    """:func:`_rank` and :func:`_ranked` for L(g), read from g: edge (a, b)
+    has degree deg(a) + deg(b) − 2, and its mask is the incidence masks of
+    a and b without its own bit.  Two distinct edges share at most one
+    endpoint, so these are the masks of L(g)'s pairs, in 3m whole-mask
+    operations."""
     deg = g.degrees
-    vertex, bit = _rank([deg[a] + deg[b] - 2 for a, b in g.edges])
+    vertex = _rank([deg[a] + deg[b] - 2 for a, b in g.edges])
+    ends = [g.edges[e] for e in vertex]
     inc = [0] * g.order  # bits of the edges at each vertex of g
-    for (a, b), m in zip(g.edges, bit):
-        inc[a] |= m
-        inc[b] |= m
-    line = [(inc[a] | inc[b]) ^ m for (a, b), m in zip(g.edges, bit)]
-    return vertex, [line[e] for e in vertex]
+    for p, (a, b) in enumerate(ends):
+        inc[a] |= 1 << p
+        inc[b] |= 1 << p
+    return vertex, [(inc[a] | inc[b]) ^ (1 << p) for p, (a, b) in enumerate(ends)]
 
 
 def _clique(adj: Sequence[int]) -> int:
@@ -232,21 +232,24 @@ def chromatic_number(g: Graph,
                      budget: int | SearchBudget | None = None) -> VertexColoring:
     """Exact minimum vertex coloring; ``num_colors`` is the chromatic number.
 
-    One search per k, from the greedy clique lower bound up, under one
-    budget.  When that bound is 2, :func:`graphs._two_coloring` rooted in
-    rank order answers bipartite input first: at k = 2 DSATUR never
-    branches, so its witness is the distance parity from each component's
-    highest-ranked vertex and it spends one node per vertex, charged only
-    on success.  Odd cycles fall through to the search.  The order-0 graph
-    needs 0 colors and any edgeless nonempty graph needs 1.
+    Structure first: on a graph with an edge, :func:`graphs._two_coloring`
+    rooted in rank order answers bipartite input before any mask is
+    built.  At k = 2 DSATUR never branches, so its witness is the distance
+    parity from each component's highest-ranked vertex and it spends one
+    node per vertex, charged only on success; a bipartite graph with an
+    edge has greedy clique bound 2, so the ladder would start there.  An
+    odd cycle falls through to the masks on the same order and one search
+    per k, from the greedy clique lower bound up, under one budget.  The
+    order-0 graph needs 0 colors and any edgeless nonempty graph needs 1.
     """
-    vertex, adj = _ranked(g.degrees, g.edges)
-    k, bud = _clique(adj), _as_budget(budget)
-    if k == 2:
+    vertex, bud = _rank(g.degrees), _as_budget(budget)
+    if g.edges:
         side = _two_coloring(g, reversed(vertex))
         if side is not None:
             bud.spend(g.order)
             return VertexColoring(tuple(side), 2)
+    adj = _ranked(vertex, g.edges)
+    k = _clique(adj)
     while (witness := _dsatur(vertex, adj, k, bud)) is None:
         k += 1
     return witness
@@ -256,27 +259,24 @@ def chromatic_index(g: Graph,
                     budget: int | SearchBudget | None = None) -> EdgeColoring:
     """Exact minimum edge coloring; ``num_colors`` is the chromatic index.
 
-    Three certificates first: König on bipartite input (Δ colors);
-    Misra-Gries when Δ ≤ 2 (an odd cycle) or g is overfull (Δ+1 colors).
-    Otherwise one search for a Δ-coloring of the line graph on the masks
-    of :func:`_line_ranked`, built from g's incidence masks, with
-    Misra-Gries as the Δ+1 witness when it is exhausted.  Certified
-    answers spend no nodes of the budget.  Requires at least one edge
-    (the chromatic index of an edgeless graph is undefined here).
+    König on bipartite input (Δ colors).  Otherwise, unless Δ ≤ 2 (an
+    odd cycle) or g is overfull, one search for a Δ-coloring of the line
+    graph on the masks of :func:`_line_ranked`, built from g's incidence
+    masks.  Every other case is Δ+1, with Misra-Gries as the one witness.
+    Certified answers spend no nodes of the budget.  Requires at least one
+    edge (the chromatic index of an edgeless graph is undefined here).
     """
     if not g.edges:
         raise DomainError("chromatic index requires a graph with at least one edge")
     bud = _as_budget(budget)
     if bipartition(g) is not None:
         return _konig_insertion(g)
-    deg = g.degrees
-    delta = max(deg)
-    if delta <= 2 or g.num_edges > delta * (g.order // 2):
-        return edge_color_misra_gries(g)
-    witness = _dsatur(*_line_ranked(g), delta, bud)
-    if witness is None:
-        return edge_color_misra_gries(g)
-    return EdgeColoring(dict(zip(g.edges, witness.color_of)), witness.num_colors)
+    delta = max(g.degrees)
+    if delta > 2 and g.num_edges <= delta * (g.order // 2):
+        witness = _dsatur(*_line_ranked(g), delta, bud)
+        if witness is not None:
+            return EdgeColoring(dict(zip(g.edges, witness.color_of)), witness.num_colors)
+    return edge_color_misra_gries(g)
 
 
 def _uses_colors(colors: Collection[object], k: object) -> bool:

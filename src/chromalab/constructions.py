@@ -13,8 +13,9 @@ helm and fan rules check n with the family check, ``families._check``):
 The two insertion schemes share one core: a partner table, one dict per
 vertex from each color used there to the neighbor it reaches, the only
 store of the colors and one entry per colored edge end, with set, unset,
-the smallest color free at two vertices (or at one, given twice), and a
-flip that swaps two colors along an alternating path in place.  Each
+the smallest color free at two vertices (or at one, given twice), found
+from each vertex's lowest-free-color floor rather than from color 0, and
+a flip that swaps two colors along an alternating path in place.  Each
 insertion bounds its own palette: König inserts an edge with a common
 free color below the max degree, or else flips the path from v so the
 color free at u is free at v too.  Misra-Gries flips the cd-path through
@@ -81,13 +82,16 @@ class _PartialEdgeColoring:
     ``partner[x]`` maps each color used at x to the neighbor that color
     joins x to; a color missing from it is free at x.  It is the only
     store, one entry per colored edge end: an edge's color is its key in
-    either endpoint's row.
+    either endpoint's row.  ``low[x]`` is a floor on the colors free at x:
+    every color below it is in use at x.  ``set`` keeps that true, and a
+    call that frees a color lowers the floor to it.
     """
 
-    __slots__ = ("partner",)
+    __slots__ = ("partner", "low")
 
     def __init__(self, order: int):
         self.partner = [{} for _ in range(order)]
+        self.low = [0] * order
 
     def set(self, x: int, y: int, c: int) -> None:
         self.partner[x][c] = y
@@ -96,22 +100,34 @@ class _PartialEdgeColoring:
     def unset(self, x: int, y: int) -> int:
         c = next(c for c, z in self.partner[x].items() if z == y)
         del self.partner[x][c], self.partner[y][c]
+        low = self.low
+        low[x], low[y] = min(low[x], c), min(low[y], c)
         return c
 
     def common_free(self, x: int, y: int) -> int:
         """Smallest color free at both x and y; ``common_free(x, x)`` is
-        the smallest color free at x."""
-        px, py = self.partner[x], self.partner[y]
-        c = 0
+        the smallest color free at x.  Each floor first moves past the
+        colors in use, and no common free color lies below the larger."""
+        px, py, low = self.partner[x], self.partner[y], self.low
+        a, b = low[x], low[y]
+        while a in px:
+            a += 1
+        while b in py:
+            b += 1
+        low[x], low[y] = a, b
+        c = max(a, b)
         while c in px or c in py:
             c += 1
         return c
 
     def flip(self, x: int, a: int, b: int) -> None:
         """Swap a and b on the maximal a/b alternating path that leaves x by
-        color a; b must be free at x, so the path is not a cycle."""
+        color a; b must be free at x, so the path is not a cycle.  Each
+        path vertex may lose a or b, so its floor drops to the smaller."""
+        low, freed = self.low, min(a, b)
         while x is not None:
             row = self.partner[x]
+            low[x] = min(low[x], freed)
             nxt, prev = row.pop(a, None), row.pop(b, None)
             row.update((c, y) for c, y in ((b, nxt), (a, prev)) if y is not None)
             x, a, b = nxt, b, a  # the popped a-neighbor is the path's next vertex

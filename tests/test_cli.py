@@ -470,18 +470,20 @@ def test_ng_construct_past_index_range_is_a_domain_error():
 
 
 @pytest.mark.parametrize("graph, argv, expected", [
+    (("path", 100000), ["chi"], "2"),
     (("path", 100000), ["chi-index"], "2"),
     (("path", 100000), ["edge-color"], "2"),
     (("star", 10000), ["chi-index"], "10000"),
     (("bistar", 5000, 5000), ["edge-color", "--method", "misra-gries"], "5001"),
-], ids=["chi-index-path", "edge-color-path", "chi-index-star", "misra-gries-bistar"])
-def test_edge_coloring_a_large_sparse_graph_fits_in_memory(tmp_path, graph, argv, expected):
-    """chi-index and edge-color answer on large sparse graphs inside a
+], ids=["chi-path", "chi-index-path", "edge-color-path", "chi-index-star", "misra-gries-bistar"])
+def test_a_large_sparse_graph_fits_in_memory(tmp_path, graph, argv, expected):
+    """chi, chi-index and edge-color answer on large sparse graphs inside a
     400 MB address space.  The BFS that two-colors P_100000 reads adjacency
     lists built from the 99,999 edges, not n-bit masks (669 MB on this
-    path), and the partial edge coloring behind König and Misra-Gries keeps
-    one entry per colored edge end, not an order × palette table (10^8
-    entries on K_{1,10000})."""
+    path); chi runs it before it builds any rank mask, so bipartite input
+    never pays for masks only the search reads.  The partial edge coloring
+    behind König and Misra-Gries keeps one entry per colored edge end, not
+    an order × palette table (10^8 entries on K_{1,10000})."""
     name, *params = graph
     path = tmp_path / "graph.txt"
     write_edge_list(getattr(families, name)(*params), path)

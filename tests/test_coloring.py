@@ -13,7 +13,7 @@ from test_constructions import PETERSEN
 import chromalab
 from chromalab import families
 from chromalab.coloring import (EdgeColoring, SearchBudget, VertexColoring, _clique, _dsatur,
-                                _line_ranked, _ranked, chromatic_index, chromatic_number,
+                                _line_ranked, _rank, _ranked, chromatic_index, chromatic_number,
                                 greedy_clique_lower_bound, is_k_colorable, validate_edge_coloring,
                                 validate_vertex_coloring)
 from chromalab.constructions import edge_color_complete
@@ -411,8 +411,8 @@ def test_chromatic_number_climbs_k_like_fresh_searches():
 
 
 def _dsatur_run(degree, pairs, k):
-    bud = SearchBudget()
-    return _dsatur(*_ranked(degree, pairs), k, bud), bud.nodes
+    bud, vertex = SearchBudget(), _rank(degree)
+    return _dsatur(vertex, _ranked(vertex, pairs), k, bud), bud.nodes
 
 
 def test_dsatur_ignores_pair_order():
@@ -444,7 +444,8 @@ def test_line_masks_from_incidence_match_line_pairs():
     isolated vertices and pieces with Δ <= 2 occur."""
     def from_pairs(g):
         deg = g.degrees
-        return _ranked([deg[a] + deg[b] - 2 for a, b in g.edges], _line_pairs(g))
+        vertex = _rank([deg[a] + deg[b] - 2 for a, b in g.edges])
+        return vertex, _ranked(vertex, _line_pairs(g))
 
     graphs = [g for n in range(7) for g in all_labeled_graphs(n)]
     rng = random.Random(53)
@@ -474,13 +475,14 @@ def _bipartite_sample(rng: random.Random, n: int) -> Graph:
 
 
 def test_two_colored_is_dsatur_at_two_colors():
-    """At clique bound 2, chromatic_number returns the search's own witness
-    and node count: the BFS two-coloring answers bipartite input with
-    DSATUR's k = 2 witness, and on an odd cycle it charges no node before
-    the search runs.  Checked on every labeled graph of order <= 6 with
-    clique bound 2, on seeded bipartite graphs with n <= 80 whose clique
-    bound is 2, and on a path and a cycle of 5000 vertices with shuffled
-    labels, so the rank-order roots are checked on long inputs."""
+    """chromatic_number returns the bare ladder's witness and node count,
+    the ladder climbing k from the greedy clique bound: the BFS
+    two-coloring, tried first on every graph with an edge, answers
+    bipartite input with DSATUR's k = 2 witness, and on an odd cycle it
+    charges no node before the search runs.  Checked on every labeled
+    graph of order <= 6, on seeded bipartite graphs with n <= 80, and on a
+    path and a cycle of 5000 vertices with shuffled labels, so the
+    rank-order roots are checked on long inputs."""
     rng = random.Random(61)
     graphs = [g for n in range(7) for g in all_labeled_graphs(n)]
     graphs += [_bipartite_sample(rng, rng.randint(7, 80)) for _ in range(400)]
@@ -493,12 +495,11 @@ def test_two_colored_is_dsatur_at_two_colors():
         graphs.append(Graph(g.order, [(label[u], label[v]) for u, v in g.edges]))
     outcomes, seeded = set(), set()
     for g in graphs:
-        vertex, adj = _ranked(g.degrees, g.edges)
-        if _clique(adj) != 2:
-            continue
+        vertex = _rank(g.degrees)
+        adj = _ranked(vertex, g.edges)
         layered, searched = SearchBudget(), SearchBudget()
         w = chromatic_number(g, layered)
-        k = 2
+        k = _clique(adj)
         while (witness := _dsatur(vertex, adj, k, searched)) is None:
             k += 1
         assert w == witness
