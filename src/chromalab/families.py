@@ -18,7 +18,10 @@ Labeling conventions (fixed so colorings are reproducible):
 
 :func:`generate` checks a family name and parameter count; :func:`_check`,
 which every generator and the wheel, helm and fan edge-coloring rules
-call, checks each value against :data:`FAMILY_TABLE`.
+call, checks each value against :data:`FAMILY_TABLE`.  That is the only
+check: a generator derives its edges from checked values, writes each as
+``(u, v)`` with ``u < v`` and builds through ``Graph._from_canonical``,
+since ``Graph(...)`` is the check for edges from outside the program.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError
-from .graphs import Graph
+from .graphs import Edge, Graph
 
 
 @dataclass(frozen=True)
@@ -49,19 +52,26 @@ class Family:
     size_of_param: Callable[[int], int] | None = None
 
 
+def _graph(order: int, edges: list[Edge]) -> Graph:
+    """The graph of a generator's edges, each written ``(u, v)`` with
+    ``0 <= u < v < order`` and none twice, derived from parameters that
+    :func:`_check` accepted; only their order is left to fix."""
+    return Graph._from_canonical(order, tuple(sorted(edges)))
+
+
 def complete(n: int) -> Graph:
     _check("complete", n)
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return _graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def complete_bipartite(m: int, n: int) -> Graph:
     _check("complete_bipartite", m, n)
-    return Graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
+    return _graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
 
 
 def star(n: int) -> Graph:
     _check("star", n)
-    return Graph(n + 1, [(0, k) for k in range(1, n + 1)])
+    return _graph(n + 1, [(0, k) for k in range(1, n + 1)])
 
 
 def bistar(m: int, n: int) -> Graph:
@@ -69,39 +79,39 @@ def bistar(m: int, n: int) -> Graph:
     edges = [(0, 1)]
     edges += [(0, k) for k in range(2, m + 2)]
     edges += [(1, k) for k in range(m + 2, m + n + 2)]
-    return Graph(m + n + 2, edges)
+    return _graph(m + n + 2, edges)
 
 
 def path(n: int) -> Graph:
     _check("path", n)
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+    return _graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
     _check("cycle", n)
-    return Graph(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+    return _graph(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
 
 
 def wheel(n: int) -> Graph:
     _check("wheel", n)
     edges = [(0, i) for i in range(1, n)]                     # spokes
-    edges += [(i, i % (n - 1) + 1) for i in range(1, n)]      # rim cycle
-    return Graph(n, edges)
+    edges += [(i, i + 1) for i in range(1, n - 1)] + [(1, n - 1)]  # rim cycle
+    return _graph(n, edges)
 
 
 def helm(n: int) -> Graph:
     _check("helm", n)
     edges = [(0, i) for i in range(1, n + 1)]                 # spokes
-    edges += [(i, i % n + 1) for i in range(1, n + 1)]        # rim cycle
+    edges += [(i, i + 1) for i in range(1, n)] + [(1, n)]      # rim cycle
     edges += [(i, n + i) for i in range(1, n + 1)]            # pendants
-    return Graph(2 * n + 1, edges)
+    return _graph(2 * n + 1, edges)
 
 
 def fan(n: int) -> Graph:
     _check("fan", n)
     edges = [(0, i) for i in range(1, n + 1)]                 # spokes
     edges += [(i, i + 1) for i in range(1, n)]                # path
-    return Graph(n + 1, edges)
+    return _graph(n + 1, edges)
 
 
 FAMILY_TABLE: dict[str, Family] = {

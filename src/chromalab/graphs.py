@@ -4,6 +4,10 @@ Vertices are dense 0-based indices ``0..order-1``.  Edges are unordered
 pairs stored canonically as ``(u, v)`` with ``u < v``, in lexicographic
 order, the only adjacency a graph holds.  Graphs are values: hashable
 and compared by labeled equality.
+
+Each edge is checked once, where it enters: ``Graph(...)`` checks edges
+from outside the program, and every graph the package derives itself is
+built through ``Graph._from_canonical``.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 from .errors import DomainError, EdgeListFormatError
@@ -61,8 +64,10 @@ class Graph:
 
         Precondition: ``order`` is a non-negative int and ``edges`` is a
         ``tuple`` of int pairs ``(u, v)`` with ``0 <= u < v < order``,
-        strictly increasing in lexicographic order.  Only builders that
-        guarantee this by construction may call it.
+        strictly increasing in lexicographic order.  This is the only
+        trusted constructor, and every builder in the package goes through
+        it, since its edges are canonical by construction or were checked
+        already; ``Graph(...)`` is for edges from outside the program.
         """
         g = object.__new__(cls)
         object.__setattr__(g, "order", order)
@@ -78,7 +83,7 @@ class Graph:
         i = bisect_left(self.edges, pair)
         return i < len(self.edges) and self.edges[i] == pair
 
-    @cached_property
+    @property
     def degrees(self) -> tuple[int, ...]:
         deg = [0] * self.order
         for u, v in self.edges:
@@ -106,7 +111,8 @@ def join(g: Graph, h: Graph) -> Graph:
     edges = list(g.edges)
     edges += [(u + shift, v + shift) for u, v in h.edges]
     edges += [(u, v + shift) for u in range(g.order) for v in range(h.order)]
-    return Graph(g.order + h.order, edges)
+    edges.sort()
+    return Graph._from_canonical(g.order + h.order, tuple(edges))
 
 
 def disjoint_union(gs: Iterable[Graph]) -> Graph:
@@ -116,7 +122,9 @@ def disjoint_union(gs: Iterable[Graph]) -> Graph:
     for g in gs:
         edges += [(u + shift, v + shift) for u, v in g.edges]
         shift += g.order
-    return Graph(shift, edges)
+    # each graph's edges are canonical, and a later graph's vertices are all
+    # higher, so the concatenation is canonical too
+    return Graph._from_canonical(shift, tuple(edges))
 
 
 def max_degree(g: Graph) -> int:
@@ -176,17 +184,14 @@ def parse_edge_list(text: str) -> Graph:
     expected = -1
     edges: list[Edge] = []
     seen: set[Edge] = set()
-    last_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        last_line = lineno
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise EdgeListFormatError(lineno, f"expected two integers, got {line!r}")
         try:
-            a, b = int(parts[0]), int(parts[1])
+            a, b = line.split()
+            a, b = int(a), int(b)
         except ValueError:
             raise EdgeListFormatError(lineno, f"expected two integers, got {line!r}") from None
         if order < 0:
@@ -208,9 +213,9 @@ def parse_edge_list(text: str) -> Graph:
         seen.add((u, v))
         edges.append((u, v))
     if order < 0:
-        raise EdgeListFormatError(last_line or 1, "missing '<order> <edge_count>' header")
+        raise EdgeListFormatError(len(lines) or 1, "missing '<order> <edge_count>' header")
     if len(edges) != expected:
-        raise EdgeListFormatError(last_line or 1,
+        raise EdgeListFormatError(len(lines) or 1,
                                   f"header promises {expected} edges, input ends after {len(edges)}")
     # every edge was checked above, so only the order is left to fix
     edges.sort()

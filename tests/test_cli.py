@@ -492,6 +492,18 @@ def test_a_large_sparse_graph_fits_in_memory(tmp_path, graph, argv, expected):
     assert proc.stdout == f"{expected}\n"
 
 
+def test_ng_construct_of_a_large_clique_fits_in_memory(tmp_path):
+    """ng construct 1600 1600 1 writes K_1600, 1,279,200 edges, inside a
+    400 MB address space: the clique generator and disjoint_union build
+    through the trusted constructor, so no derived edge is checked, put in
+    a set and sorted a second time."""
+    out = tmp_path / "k1600.txt"
+    proc = _run_capped(["ng", "construct", "1600", "1600", "1", "--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    with open(out, encoding="utf-8") as fh:
+        assert fh.readline() == "1600 1279200\n"
+
+
 def test_linegraph_of_huge_edgeless_header_allocates_nothing_per_vertex(tmp_path):
     """L(G) of an edgeless graph is the empty graph whatever G's order, so
     linegraph answers at once inside a 400 MB address space."""

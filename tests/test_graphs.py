@@ -6,6 +6,7 @@ import pytest
 from oracles import bipartite_by_side_enumeration, component_starts
 
 from chromalab import families
+from chromalab.coloring import chromatic_index, chromatic_number
 from chromalab.enumeration import (all_labeled_graphs, connected_bipartite_graphs,
                                    graph_from_mask, vertex_pairs)
 from chromalab.errors import DomainError, EdgeListFormatError
@@ -91,6 +92,31 @@ def test_trusted_graphs_equal_validated_form_exhaustive_leq6():
                       parse_edge_list(format_edge_list(g)), parse_edge_list(backwards)):
                 assert_validated_form(h)
             assert graph_from_mask(n, mask) == parse_edge_list(backwards) == g
+
+
+def test_generated_graphs_equal_validated_form():
+    """Family generators, join and disjoint_union build without edge
+    validation, so each must write its edges canonically itself."""
+    for name, fam in families.FAMILY_TABLE.items():
+        if len(fam.mins) == 1:
+            points = [(n,) for n in range(fam.mins[0], 31)]
+        else:
+            points = [(m, n) for m in range(fam.mins[0], 11) for n in range(fam.mins[1], 11)]
+        for params in points:
+            assert_validated_form(families.generate(name, params))
+    small = [g for n in range(4) for g in all_labeled_graphs(n)]
+    for g in small:
+        for h in small:
+            assert_validated_form(join(g, h))
+            assert_validated_form(disjoint_union([g, h, g]))
+
+
+def test_graph_holds_only_its_order_and_edges():
+    """A Graph caches nothing: after the solvers and complement read its
+    degrees and edges, it still holds exactly its order and edges."""
+    g = families.wheel(7)
+    chromatic_number(g), chromatic_index(g), complement(g)
+    assert vars(g) == {"order": 7, "edges": g.edges}
 
 
 def test_join_wheel_and_fan_counts():
@@ -219,6 +245,8 @@ def test_edge_list_comments_and_reversed_pairs():
     ("3 2\n0 1\n", 2),            # input ends before the promised edges
     ("3 1\n0 1\n1 2\n", 3),       # excess edge line
     ("3 1\n0 1\nextra 1 2\n", 3),  # three tokens
+    ("3 1\n0 1 2\n", 2),         # three integers
+    ("3 1\n5\n", 2),             # one token
     ("3 1\n0 0\n", 2),            # self-loop
     ("3 1\n0 7\n", 2),            # out of range
     ("3 2\n0 1\n1 0\n", 3),       # duplicate after normalization
