@@ -23,6 +23,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from itertools import product
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable
 
 from . import families
@@ -119,8 +120,10 @@ def registry() -> tuple[Claim, ...]:
     return _REGISTRY
 
 
-def claims_for(family: str) -> tuple[Claim, ...]:
-    return tuple(c for c in _REGISTRY if c.family == family)
+#: Each family's claims in registry order, looked up once per audit point.
+_FAMILY_CLAIMS: dict[str, tuple[Claim, ...]] = {
+    family: tuple(c for c in _REGISTRY if c.family == family)
+    for family in dict.fromkeys(c.family for c in _REGISTRY)}
 
 
 #: Families that have registered claims, in family-table order, with the
@@ -129,7 +132,7 @@ def claims_for(family: str) -> tuple[Claim, ...]:
 #: one edge, so complete graphs start at n = 2.
 AUDIT_FAMILIES: dict[str, tuple[int, ...]] = {
     name: {"complete": (2,)}.get(name, family.mins)
-    for name, family in families.FAMILY_TABLE.items() if claims_for(name)}
+    for name, family in families.FAMILY_TABLE.items() if name in _FAMILY_CLAIMS}
 
 
 @dataclass(frozen=True)
@@ -137,9 +140,9 @@ class AuditRow:
     """One audited (claim, parameter point): exact value vs claimed value."""
 
     claim_id: str
-    params: tuple[tuple[str, object], ...]
+    params: tuple[tuple[str, int | str], ...]
     exact: int | None
-    claimed: object
+    claimed: int | str | None
     verdict: str
     witness: str
     citation: str
@@ -170,7 +173,7 @@ def _exact_quantities(g: Graph, budget_limit: int | None) -> tuple[dict, str]:
     values = {"chi": chi, "chi_line": chi_line,
               "sum": chi + chi_line, "product": chi * chi_line}
     witness = (f"chi={','.join(map(str, chi_w.color_of))};"
-               f"chiL={','.join(str(c) for _, _, c in chi_line_w.assignment())}")
+               f"chiL={','.join(map(str, map(chi_line_w.color_of.__getitem__, g.edges)))}")
     return values, witness
 
 
@@ -190,7 +193,7 @@ def _audit_point(family: str, point: tuple[int, ...],
     params = tuple(zip(families.FAMILY_TABLE[family].params, point))
     values, witness = _exact_quantities(families.make(family, *point), budget_limit)
     rows = []
-    for c in claims_for(family):
+    for c in _FAMILY_CLAIMS[family]:
         exact, claimed = values[c.quantity], c.value(*point)
         rows.append(AuditRow(c.id, params, exact, claimed,
                              _verdict(exact, claimed, claimed), witness, c.citation))
@@ -279,10 +282,29 @@ def render_report(rows: list[AuditRow], format: str = "markdown") -> str:
         writer.writerows(map(_cells, rows))
         return buf.getvalue()
     if format == "json":
-        import json
-        payload = [{"claim": r.claim_id, "params": dict(r.params),
-                    "exact": r.exact, "claimed": r.claimed, "verdict": r.verdict,
-                    "witness": r.witness, "citation": r.citation} for r in rows]
-        return json.dumps(payload, indent=2) + "\n"
+        # the layout of json.dumps(payload, indent=2), filled in here: with
+        # indent set, json runs its pure-Python encoder on every dict
+        if not rows:
+            return "[]\n"
+        esc = encode_basestring_ascii  # json's own escaper
+        params = {p: _json_params(p) for p in {r.params for r in rows}}  # shared by a point's rows
+        return "[\n" + ",\n".join([
+            f'  {{\n    "claim": {esc(r.claim_id)},\n    "params": {params[r.params]},\n'
+            f'    "exact": {_json(r.exact)},\n    "claimed": {_json(r.claimed)},\n'
+            f'    "verdict": {esc(r.verdict)},\n    "witness": {esc(r.witness)},\n'
+            f'    "citation": {esc(r.citation)}\n  }}' for r in rows]) + "\n]\n"
     raise DomainError(f"unknown report format {format!r}; "
                       f"choose markdown, csv, or json")
+
+
+def _json(value: int | str | None) -> str:
+    """A JSON value as ``json.dumps`` writes it (ASCII-escaped strings)."""
+    if value is None:
+        return "null"
+    return encode_basestring_ascii(value) if isinstance(value, str) else str(value)
+
+
+def _json_params(params: tuple[tuple[str, int | str], ...]) -> str:
+    if not params:
+        return "{}"
+    return "{\n" + ",\n".join(f"      {_json(k)}: {_json(v)}" for k, v in params) + "\n    }"

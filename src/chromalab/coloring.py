@@ -172,7 +172,9 @@ def _dsatur(vertex: Sequence[int], adj: Sequence[int], k: int,
     A pick takes a mask's highest bit.  ``blocked[c]`` holds the uncolored
     vertices with a neighbor colored c, and bit i of a vertex's saturation
     is its bit in ``sat[i]``.  A color blocks only the vertices it newly
-    blocks and its undo unblocks exactly those.
+    blocks and its undo unblocks exactly those.  Nodes are counted in a
+    local, written back to ``bud`` on every exit, and the node past the
+    limit is charged through :meth:`SearchBudget.spend`, which raises.
     Masks stay non-negative: CPython's bitwise operations copy and
     complement negative ints, which is several times slower on long masks.
     """
@@ -181,47 +183,55 @@ def _dsatur(vertex: Sequence[int], adj: Sequence[int], k: int,
     sat = [0] * min(k, n - 1).bit_length()  # saturation <= min(k, degree)
     free = (1 << n) - 1  # uncolored vertices
     stack, used = [], 0  # frames (bit position, color, used-before, newly blocked)
-    while free:
-        pick = free
-        for level in reversed(sat):  # keep the highest saturation
-            higher = pick & level
-            if higher:
-                pick = higher
-        p, c = pick.bit_length() - 1, 0
-        low = 1 << p
-        while True:
-            top = used if used < k else k - 1  # symmetry breaking: at most one fresh color
-            while c <= top and blocked[c] & low:
-                c += 1
-            if c <= top:
+    nodes, limit = bud.nodes, bud.limit
+    try:
+        while free:
+            pick = free
+            for level in reversed(sat):  # keep the highest saturation
+                higher = pick & level
+                if higher:
+                    pick = higher
+            p, c = pick.bit_length() - 1, 0
+            low = 1 << p
+            while True:
+                top = used if used < k else k - 1  # symmetry breaking: at most one fresh color
+                while c <= top and blocked[c] & low:
+                    c += 1
+                if c <= top:
+                    break
+                # p has no color left: undo its parent, which tries its next color
+                if stack:
+                    p, c, used, newly = stack.pop()
+                    low = 1 << p
+                    free |= low
+                    blocked[c] ^= newly
+                    for i, level in enumerate(sat):  # subtract one; borrow where the bit was 0
+                        sat[i] = level = level ^ newly
+                        newly &= level
+                        if not newly:
+                            break
+                    c += 1
+                else:
+                    return None
+            if nodes >= limit:
                 break
-            # p has no color left: undo its parent, which tries its next color
-            if stack:
-                p, c, used, newly = stack.pop()
-                low = 1 << p
-                free |= low
-                blocked[c] ^= newly
-                for i, level in enumerate(sat):  # subtract one; borrow where the bit was 0
-                    sat[i] = level = level ^ newly
-                    newly &= level
-                    if not newly:
-                        break
-                c += 1
-            else:
-                return None
+            nodes += 1
+            free ^= low
+            newly = adj[p] & free
+            newly ^= newly & blocked[c]
+            blocked[c] |= newly
+            stack.append((p, c, used, newly))
+            for i, level in enumerate(sat):  # add one; carry where the bit was 1
+                sat[i] = level ^ newly
+                newly &= level
+                if not newly:
+                    break
+            if c == used:
+                used += 1
+    finally:
+        bud.nodes = nodes
+    if free:  # the loop broke at a node past the limit
         bud.spend()
-        free ^= low
-        newly = adj[p] & free
-        newly ^= newly & blocked[c]
-        blocked[c] |= newly
-        stack.append((p, c, used, newly))
-        for i, level in enumerate(sat):  # add one; carry where the bit was 1
-            sat[i] = level ^ newly
-            newly &= level
-            if not newly:
-                break
-        if c == used:
-            used += 1
     color_of = [0] * n
     for p, c, _, _ in stack:
         color_of[vertex[p]] = c

@@ -7,11 +7,15 @@ no saturation ordering, no clique bound and no symmetry breaking, the
 line-graph oracle tests every pair of edges, the clique oracle scans
 neighbor sets by vertex index, with no rank order, and the bipartite and
 component oracles try every side assignment and union the edge list.
+The connected bipartite graphs are found by filtering every labeled graph
+with one BFS each, where the package generates them from their bipartition.
 """
 
 from itertools import product
+from typing import Iterator
 
-from chromalab.graphs import Graph
+from chromalab.enumeration import all_labeled_graphs
+from chromalab.graphs import Graph, _two_coloring
 
 
 def brute_force_chromatic_number(g: Graph) -> int:
@@ -104,3 +108,13 @@ def component_starts(g: Graph) -> set[int]:
         low, high = sorted((find(u), find(v)))
         parent[high] = low  # so each root is its component's lowest vertex
     return {find(v) for v in range(g.order)}
+
+
+def connected_bipartite_by_filter(max_order: int) -> Iterator[Graph]:
+    """Connected bipartite labeled graphs with an edge, order <= max_order,
+    by filtering every labeled graph."""
+    for n in range(2, max_order + 1):
+        for g in all_labeled_graphs(n):
+            side = _two_coloring(g, (0,))
+            if side is not None and -1 not in side:  # vertex 0 reaches every vertex
+                yield g

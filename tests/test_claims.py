@@ -176,6 +176,7 @@ def test_bipartite_bounds_order_cap():
 
 def test_render_report_formats():
     assert render_report([], "csv") == "claim,params,exact,claimed,verdict,citation\n"
+    assert render_report([], "json") == "[]\n"
     row = AuditRow("wheel.chi", (("n", 4),), 4, 4, claims.MATCH, "chi=0", "c")
     md = render_report([row], "markdown")
     assert md.splitlines()[0] == "| claim | params | exact | claimed | verdict | citation |"

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -289,6 +290,33 @@ def test_audit_report_bytes_pinned(argv, digest, capsys):
     # whole reports, witnesses included; both contain mismatches, so exit 1
     assert run(argv) == 1
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def _audit_workload_argvs(monkeypatch) -> list[list[str]]:
+    """The audit benchmark workload's argv lists, read from perfbench."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    argvs = [["audit", "--format", "json"],
+             ["audit", "--family", "complete_bipartite", "--max", "8",
+              "--budget", str(workloads.SMALL_BUDGET), "--format", "json"]]
+    for family, (lo, hi) in workloads.AUDIT_LADDER.items():
+        argvs += [["audit", "--family", family, "--max", str(k), "--format", "json"]
+                  for k in range(lo, hi + 1)]
+    return argvs
+
+
+def test_audit_json_reports_are_json_dumps(capsys, monkeypatch):
+    """Every JSON report of the audit workload is the bytes json.dumps
+    writes for the rows it holds."""
+    argvs = _audit_workload_argvs(monkeypatch)
+    assert len(argvs) == 100
+    for argv in argvs:
+        run(argv)
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
 
 
 def test_cli_determinism(capsys):

@@ -539,6 +539,16 @@ def test_two_colored_charges_one_node_per_vertex():
     assert shared.nodes == 100
 
 
+def test_search_on_exhausted_budget_raises_at_its_next_node():
+    """The search counts nodes locally; past the limit it leaves the count
+    SearchBudget.spend leaves, also on a budget that has raised before."""
+    bud = SearchBudget(2)
+    for nodes in (3, 4):
+        with pytest.raises(BudgetExceededError, match="more than 2 search nodes"):
+            is_k_colorable(families.complete(4), 4, bud)
+        assert bud.nodes == nodes
+
+
 def _raises_budget(charge) -> bool:
     try:
         charge()

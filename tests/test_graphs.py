@@ -3,7 +3,8 @@ from collections import Counter
 
 import pytest
 
-from oracles import bipartite_by_side_enumeration, component_starts
+from oracles import (bipartite_by_side_enumeration, component_starts,
+                     connected_bipartite_by_filter)
 
 from chromalab import families
 from chromalab.coloring import chromatic_index, chromatic_number
@@ -211,6 +212,15 @@ def test_connected_bipartite_graphs_match_oracle_filter_leq5():
     assert list(connected_bipartite_graphs(5)) == [
         g for n in range(2, 6) for g in all_labeled_graphs(n)
         if len(component_starts(g)) == 1 and bipartite_by_side_enumeration(g)]
+
+
+def test_connected_bipartite_graphs_match_labeled_filter_leq6():
+    """Generated from their bipartition, the graphs come out as filtering
+    every labeled graph gives them: the same graphs in the same order."""
+    for max_order, count in enumerate((0, 1, 4, 23, 218, 3249), start=1):
+        generated = list(connected_bipartite_graphs(max_order))
+        assert generated == list(connected_bipartite_by_filter(max_order))
+        assert len(generated) == count
 
 
 def test_connected_bipartite_graphs_counts_a001832():

@@ -1,11 +1,14 @@
-"""Property tests of the exact solvers on small random graphs.
+"""Property tests of the exact solvers on small random graphs, and of the
+audit's JSON writer on random rows.
 
 The solvers are checked against the independent oracles in ``oracles.py``
 and against three identities: χ and χ′ do not depend on vertex labels,
-χ(G ∪ H) = max(χ(G), χ(H)) and χ(G + H) = χ(G) + χ(H).  Examples are
-derandomized, so every run draws the same graphs.
+χ(G ∪ H) = max(χ(G), χ(H)) and χ(G + H) = χ(G) + χ(H).  The JSON report
+is checked byte for byte against ``json.dumps``.  Examples are
+derandomized, so every run draws the same inputs.
 """
 
+import json
 from itertools import combinations
 
 import pytest
@@ -15,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import brute_force_chromatic_index, brute_force_chromatic_number
 
+from chromalab.claims import AuditRow, render_report
 from chromalab.coloring import (chromatic_index, chromatic_number, is_k_colorable,
                                 validate_edge_coloring, validate_vertex_coloring)
 from chromalab.graphs import Graph, disjoint_union, join
@@ -99,3 +103,27 @@ def test_chi_of_join_is_sum(g, h):
     w = chromatic_number(both)
     assert validate_vertex_coloring(both, w)
     assert w.num_colors == chromatic_number(g).num_colors + chromatic_number(h).num_colors
+
+
+# quotes, backslashes, control characters, non-ASCII text and lone
+# surrogates, which a draw from all of Unicode rarely hits
+TEXT = st.text(st.one_of(st.characters(exclude_categories=()),
+                         st.sampled_from('"\\\x00\x1f\x7f\u00e9\u2028\ud800\udfff\U0001f600')))
+INTS = st.one_of(st.integers(), st.integers(min_value=2**64))
+
+
+@st.composite
+def audit_rows(draw) -> AuditRow:
+    params = draw(st.lists(st.tuples(TEXT, st.one_of(INTS, TEXT)), max_size=3,
+                           unique_by=lambda kv: kv[0]))
+    return AuditRow(draw(TEXT), tuple(params), draw(st.one_of(st.none(), INTS)),
+                    draw(st.one_of(st.none(), INTS, TEXT)), draw(TEXT), draw(TEXT), draw(TEXT))
+
+
+@FIXED
+@given(st.lists(audit_rows(), max_size=4))
+def test_json_report_is_json_dumps(rows):
+    payload = [{"claim": r.claim_id, "params": dict(r.params),
+                "exact": r.exact, "claimed": r.claimed, "verdict": r.verdict,
+                "witness": r.witness, "citation": r.citation} for r in rows]
+    assert render_report(rows, "json") == json.dumps(payload, indent=2) + "\n"
