@@ -12,14 +12,18 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
+from collections import Counter
+from collections.abc import Iterable
+from itertools import chain
 
 from . import claims, constructions, families
 from .coloring import (DEFAULT_NODE_BUDGET, EdgeColoring, VertexColoring,
                        chromatic_index, chromatic_number)
 from .errors import BudgetExceededError, DomainError, EdgeListFormatError
-from .graphs import Graph, bipartition, format_edge_list, read_edge_list
-from .linegraph import line_graph
+from .graphs import Graph, bipartition, edge_list_lines, read_edge_list, write_lines
+from .linegraph import _line_pairs
 from .nordhaus_gaddum import NgReport, ng_check, ng_construct, ng_feasible
 
 EXIT_OK = 0
@@ -43,12 +47,28 @@ def _parse_params(text: str) -> tuple[int, ...]:
                           "expected an integer or two comma-separated integers") from None
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(lines: Iterable[str], out_path: str | None) -> None:
+    """Write lines to out_path, or to stdout, as they come.
+
+    A reader that closes stdout early, such as ``| head -n 1``, ends the
+    output quietly: the command goes on to its exit code, with no error.
+    """
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            write_lines(fh, lines)
+        return
+    try:
+        write_lines(sys.stdout, lines)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered, and the flush at exit, go to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _emit_graph(g: Graph, out_path: str | None) -> None:
+    _emit(edge_list_lines(g.order, g.num_edges, g.edges), out_path)
 
 
 def _print_witness(w: VertexColoring | EdgeColoring, fmt: str) -> None:
@@ -62,14 +82,15 @@ def _print_witness(w: VertexColoring | EdgeColoring, fmt: str) -> None:
 
 
 def cmd_family(args) -> int:
-    g = families.make(args.name, *_parse_params(args.params))
-    _emit(format_edge_list(g), args.out)
+    _emit_graph(families.make(args.name, *_parse_params(args.params)), args.out)
     return EXIT_OK
 
 
 def cmd_linegraph(args) -> int:
     g = read_edge_list(args.file)
-    _emit(format_edge_list(line_graph(g).graph), args.out)
+    # L(G) is written as its pairs come, never held; its size is Σ C(d, 2) over the degrees
+    size = sum(d * (d - 1) // 2 for d in Counter(chain.from_iterable(g.edges)).values())
+    _emit(edge_list_lines(g.num_edges, size, _line_pairs(g)), args.out)
     return EXIT_OK
 
 
@@ -144,7 +165,7 @@ def cmd_ng_feasible(args) -> int:
 
 
 def cmd_ng_construct(args) -> int:
-    _emit(format_edge_list(ng_construct(args.n, args.a, args.b)), args.out)
+    _emit_graph(ng_construct(args.n, args.a, args.b), args.out)
     return EXIT_OK
 
 
@@ -176,7 +197,7 @@ def cmd_audit(args) -> int:
         else:
             rows += claims.audit_family(family, args.max, args.budget)
     fmt = "markdown" if args.format in ("text", "markdown") else args.format
-    _emit(claims.render_report(rows, fmt), args.out)
+    _emit((claims.render_report(rows, fmt),), args.out)
     if args.emit_expected:
         with open(args.emit_expected, "w", encoding="utf-8") as fh:
             json.dump(claims.mismatch_keys(rows), fh, indent=2)

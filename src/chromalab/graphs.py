@@ -15,7 +15,8 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import islice
+from typing import Iterable, Iterator
 
 from .errors import DomainError, EdgeListFormatError
 
@@ -120,7 +121,8 @@ def disjoint_union(gs: Iterable[Graph]) -> Graph:
     edges: list[Edge] = []
     shift = 0
     for g in gs:
-        edges += [(u + shift, v + shift) for u, v in g.edges]
+        # at shift 0 (the first graph) the tuples are reused: copies would hold it twice
+        edges += [(u + shift, v + shift) for u, v in g.edges] if shift else g.edges
         shift += g.order
     # each graph's edges are canonical, and a later graph's vertices are all
     # higher, so the concatenation is canonical too
@@ -186,14 +188,14 @@ def parse_edge_list(text: str) -> Graph:
     seen: set[Edge] = set()
     lines = text.splitlines()
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
         try:
-            a, b = line.split()
+            a, b = tokens
             a, b = int(a), int(b)
         except ValueError:
-            raise EdgeListFormatError(lineno, f"expected two integers, got {line!r}") from None
+            raise EdgeListFormatError(lineno, f"expected two integers, got {raw.strip()!r}") from None
         if order < 0:
             if a < 0 or b < 0:
                 raise EdgeListFormatError(lineno, "order and edge count must be non-negative")
@@ -205,13 +207,13 @@ def parse_edge_list(text: str) -> Graph:
             raise EdgeListFormatError(lineno, f"more edges than the header's {expected}")
         if a == b:
             raise EdgeListFormatError(lineno, f"self-loop at vertex {a}")
-        u, v = (a, b) if a < b else (b, a)
+        u, v = edge = (a, b) if a < b else (b, a)  # one tuple for the test, the set and the list
         if u < 0 or v >= order:
             raise EdgeListFormatError(lineno, f"edge ({a}, {b}) out of range for order {order}")
-        if (u, v) in seen:
+        if edge in seen:
             raise EdgeListFormatError(lineno, f"duplicate edge ({u}, {v})")
-        seen.add((u, v))
-        edges.append((u, v))
+        seen.add(edge)
+        edges.append(edge)
     if order < 0:
         raise EdgeListFormatError(len(lines) or 1, "missing '<order> <edge_count>' header")
     if len(edges) != expected:
@@ -222,11 +224,27 @@ def parse_edge_list(text: str) -> Graph:
     return Graph._from_canonical(order, tuple(edges))
 
 
+def edge_list_lines(order: int, size: int, edges: Iterable[Edge]) -> Iterator[str]:
+    """The edge-list interchange format, one ``"\n"``-terminated line at a
+    time: the header ``order size``, then each edge as given.  The one line
+    formatter of every edge-list writer; ``size`` is the number of edges,
+    so the header can go out before any edge is made."""
+    yield f"{order} {size}\n"
+    for u, v in edges:
+        yield f"{u} {v}\n"
+
+
+def write_lines(fh, lines: Iterable[str]) -> None:
+    """Write lines to the text file fh as they come, joined into chunks:
+    one ``write`` call per line costs several times its formatting."""
+    lines = iter(lines)
+    while chunk := list(islice(lines, 4096)):
+        fh.write("".join(chunk))
+
+
 def format_edge_list(g: Graph) -> str:
     """Serialize g in the edge-list interchange format (bit-exact)."""
-    lines = [f"{g.order} {g.num_edges}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
+    return "".join(edge_list_lines(g.order, g.num_edges, g.edges))
 
 
 def read_edge_list(path) -> Graph:
@@ -242,4 +260,4 @@ def read_edge_list(path) -> Graph:
 
 def write_edge_list(g: Graph, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_edge_list(g))
+        write_lines(fh, edge_list_lines(g.order, g.num_edges, g.edges))

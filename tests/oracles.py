@@ -9,13 +9,19 @@ neighbor sets by vertex index, with no rank order, and the bipartite and
 component oracles try every side assignment and union the edge list.
 The connected bipartite graphs are found by filtering every labeled graph
 with one BFS each, where the package generates them from their bipartition.
+The line-graph pairs are sorted after they are generated, where the
+package generates them in order, and the edge-list parser strips and
+splits each line and builds its tuples separately, as the package once did.
 """
 
-from itertools import product
+import sys
+from collections import defaultdict
+from itertools import chain, combinations, product
 from typing import Iterator
 
 from chromalab.enumeration import all_labeled_graphs
-from chromalab.graphs import Graph, _two_coloring
+from chromalab.errors import EdgeListFormatError
+from chromalab.graphs import Edge, Graph, _two_coloring
 
 
 def brute_force_chromatic_number(g: Graph) -> int:
@@ -66,6 +72,58 @@ def brute_force_line_graph(g: Graph) -> Graph:
     m = len(edges)
     return Graph(m, [(i, j) for i in range(m) for j in range(i + 1, m)
                      if set(edges[i]) & set(edges[j])])
+
+
+def sorted_line_pairs(g: Graph) -> list[Edge]:
+    """L(g)'s edges: every pair of edge indices at one vertex, then one sort."""
+    incident: defaultdict[int, list[int]] = defaultdict(list)
+    for i, (a, b) in enumerate(g.edges):
+        incident[a].append(i)
+        incident[b].append(i)
+    return sorted(chain.from_iterable(combinations(ids, 2) for ids in incident.values()))
+
+
+def parse_edge_list_by_line(text: str) -> Graph:
+    """The edge-list parser that strips, then splits, each line, with the
+    same errors, line numbers and messages as ``parse_edge_list``."""
+    order = -1
+    expected = -1
+    edges: list[Edge] = []
+    seen: set[Edge] = set()
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            a, b = line.split()
+            a, b = int(a), int(b)
+        except ValueError:
+            raise EdgeListFormatError(lineno, f"expected two integers, got {line!r}") from None
+        if order < 0:
+            if a < 0 or b < 0:
+                raise EdgeListFormatError(lineno, "order and edge count must be non-negative")
+            if a > sys.maxsize:
+                raise EdgeListFormatError(lineno, f"order {a} exceeds the platform's index range")
+            order, expected = a, b
+            continue
+        if len(edges) == expected:
+            raise EdgeListFormatError(lineno, f"more edges than the header's {expected}")
+        if a == b:
+            raise EdgeListFormatError(lineno, f"self-loop at vertex {a}")
+        u, v = (a, b) if a < b else (b, a)
+        if u < 0 or v >= order:
+            raise EdgeListFormatError(lineno, f"edge ({a}, {b}) out of range for order {order}")
+        if (u, v) in seen:
+            raise EdgeListFormatError(lineno, f"duplicate edge ({u}, {v})")
+        seen.add((u, v))
+        edges.append((u, v))
+    if order < 0:
+        raise EdgeListFormatError(len(lines) or 1, "missing '<order> <edge_count>' header")
+    if len(edges) != expected:
+        raise EdgeListFormatError(len(lines) or 1,
+                                  f"header promises {expected} edges, input ends after {len(edges)}")
+    return Graph(order, edges)
 
 
 def greedy_clique(g: Graph) -> int:

@@ -532,6 +532,54 @@ def test_ng_construct_of_a_large_clique_fits_in_memory(tmp_path):
         assert fh.readline() == "1600 1279200\n"
 
 
+def _last_line(path) -> str:
+    with open(path, "rb") as fh:
+        fh.seek(-64, 2)
+        return fh.read().decode().splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv, first, last", [
+    (["linegraph", "STAR"], "3000 4498500", "2998 2999"),
+    (["family", "--name", "complete", "--params", "2000"], "2000 1999000", "1998 1999"),
+    (["ng", "construct", "1800", "1800", "1"], "1800 1619100", "1798 1799"),
+], ids=["linegraph-star", "family-complete", "ng-construct"])
+def test_edge_list_writers_stream_inside_memory(tmp_path, argv, first, last):
+    """linegraph, family and ng construct write each line as it is made, not
+    a list of lines or their joined text, so each answers inside a 400 MB
+    address space: L(K_{1,3000}) = K_3000 is never held, K_2000 is held
+    once, and disjoint_union keeps the tuples of K_1800, its only graph."""
+    star = tmp_path / "star.txt"
+    write_edge_list(families.star(3000), star)
+    out = tmp_path / "out.txt"
+    proc = _run_capped([str(star) if a == "STAR" else a for a in argv] + ["--out", str(out)])
+    assert proc.returncode == 0, proc.stderr
+    with open(out, encoding="utf-8") as fh:
+        assert fh.readline() == first + "\n"
+    assert _last_line(out) == last
+    out.unlink()  # tens of MB
+
+
+@pytest.mark.parametrize("argv", [
+    ["linegraph", "STAR"],
+    ["family", "--name", "complete", "--params", "400"],
+    ["ng", "construct", "400", "400", "1"],
+], ids=["linegraph", "family", "ng-construct"])
+def test_reader_closing_stdout_early_ends_quietly(tmp_path, argv):
+    """A reader that stops after the first line, as ``| head -n 1`` does,
+    ends the command with exit 0 and nothing on stderr: the 79,800 lines
+    overflow the pipe, so the write that finds it closed is a streamed one."""
+    star = tmp_path / "star.txt"
+    write_edge_list(families.star(400), star)
+    proc = subprocess.Popen([sys.executable, "-m", "chromalab.cli",
+                             *[str(star) if a == "STAR" else a for a in argv]],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "400 79800\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == ""
+    proc.stderr.close()
+
+
 def test_linegraph_of_huge_edgeless_header_allocates_nothing_per_vertex(tmp_path):
     """L(G) of an edgeless graph is the empty graph whatever G's order, so
     linegraph answers at once inside a 400 MB address space."""

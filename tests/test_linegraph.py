@@ -1,10 +1,11 @@
 import random
 from math import comb
 
-from oracles import brute_force_line_graph, component_starts
+from oracles import brute_force_line_graph, component_starts, sorted_line_pairs
 from test_graphs import assert_validated_form
 
 from chromalab import families
+from chromalab.cli import run
 from chromalab.coloring import chromatic_number
 from chromalab.enumeration import all_labeled_graphs
 from chromalab.graphs import Graph, complement, format_edge_list, max_degree, parse_edge_list
@@ -100,3 +101,48 @@ def test_line_pairs_are_the_line_graph_edges_once_each():
             lg_degree[i] += 1
             lg_degree[j] += 1
         assert lg_degree == [g.degrees[a] + g.degrees[b] - 2 for a, b in g.edges]
+
+
+def test_line_pairs_come_in_sorted_order():
+    """The pairs are generated in lexicographic order, the order that sorting
+    every pair gives, so L(G) needs no sort."""
+    rng = random.Random(41)
+    graphs = [g for n in range(6) for g in all_labeled_graphs(n)]
+    for _ in range(300):
+        n = rng.randrange(60)
+        p = rng.random()
+        graphs.append(Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                if rng.random() < p]))
+    graphs += [families.star(k) for k in (1, 2, 3, 50)]
+    graphs.append(Graph(10**12, [(0, 10**12 - 1)]))
+    for g in graphs:
+        assert list(_line_pairs(g)) == sorted_line_pairs(g)
+
+
+def test_linegraph_command_writes_format_of_line_graph(tmp_path, capsys):
+    """The command writes L(G) as its pairs come, never building it; the
+    bytes are those of the built line graph, on files with comments, blank
+    lines, reversed pairs and edges in any order."""
+    rng = random.Random(43)
+    path = tmp_path / "g.txt"
+    for _ in range(40):
+        n = rng.randint(0, 30)
+        p = rng.choice((0.0, 0.1, 0.4, 0.9))
+        edges = [(j, i) if rng.random() < 0.5 else (i, j)
+                 for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        rng.shuffle(edges)
+        lines = [f"{u} {v}" for u, v in edges] + ["# a comment", "", "  "]
+        rng.shuffle(lines)
+        path.write_text(f"# random G({n}, {p})\n{n} {len(edges)}\n" + "\n".join(lines) + "\n")
+        assert run(["linegraph", str(path)]) == 0
+        expected = format_edge_list(line_graph(parse_edge_list(path.read_text())).graph)
+        assert capsys.readouterr().out == expected
+
+
+def test_linegraph_of_one_edge_at_order_10_to_12(tmp_path, capsys):
+    """Incidence lists are kept for edge endpoints only, so one edge between
+    vertices 10^12 apart gives L(G) = K_1 at once."""
+    path = tmp_path / "wide.txt"
+    path.write_text("1000000000000 1\n999999999999 0\n")
+    assert run(["linegraph", str(path)]) == 0
+    assert capsys.readouterr().out == "1 0\n"
